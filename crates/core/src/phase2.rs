@@ -53,56 +53,81 @@ pub struct Phase2Outcome {
     pub wifi_objective: f64,
 }
 
-/// The fractional Problem-2 objective over `U2` users' simplex rows.
+/// The fractional Problem-2 objective over `U2` users' simplex rows,
+/// laid out flat and row-major like the solver's iterate.
 struct Phase2Objective {
     /// Fixed user count per extender (from Phase I).
     fixed_count: Vec<f64>,
     /// Fixed harmonic weight Σ 1/r per extender (from Phase I).
     fixed_weight: Vec<f64>,
-    /// `inv_rate[k][j] = 1 / r_{u2[k], j}` (0 where unreachable — masked).
-    inv_rate: Vec<Vec<f64>>,
+    /// `inv_rate[k * n_ext + j] = 1 / r_{u2[k], j}` (0 where unreachable —
+    /// masked).
+    inv_rate: Vec<f64>,
+    /// Per-extender mass `N_j` and weight `S_j` at the point last passed
+    /// to `value`, which is where the solver takes the gradient.
+    mass: Vec<f64>,
+    weight: Vec<f64>,
 }
 
 impl Phase2Objective {
-    /// Per-extender mass `N_j` and weight `S_j` contributed by `x`.
-    fn totals(&self, x: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
+    fn new(fixed_count: Vec<f64>, fixed_weight: Vec<f64>, inv_rate: Vec<f64>) -> Self {
+        Self {
+            mass: fixed_count.clone(),
+            weight: fixed_weight.clone(),
+            fixed_count,
+            fixed_weight,
+            inv_rate,
+        }
+    }
+
+    /// Recomputes `mass` and `weight` at `x`.
+    fn totals(&mut self, x: &[f64]) {
         let n_ext = self.fixed_count.len();
-        let mut mass = self.fixed_count.clone();
-        let mut weight = self.fixed_weight.clone();
-        for (k, row) in x.iter().enumerate() {
-            for j in 0..n_ext {
-                mass[j] += row[j];
-                weight[j] += row[j] * self.inv_rate[k][j];
+        self.mass.copy_from_slice(&self.fixed_count);
+        self.weight.copy_from_slice(&self.fixed_weight);
+        for (row, inv_row) in x.chunks_exact(n_ext).zip(self.inv_rate.chunks_exact(n_ext)) {
+            for (((m, w), &v), &inv_r) in self
+                .mass
+                .iter_mut()
+                .zip(&mut self.weight)
+                .zip(row)
+                .zip(inv_row)
+            {
+                *m += v;
+                *w += v * inv_r;
             }
         }
-        (mass, weight)
     }
 }
 
 impl Objective for Phase2Objective {
-    fn value(&self, x: &[Vec<f64>]) -> f64 {
-        let (mass, weight) = self.totals(x);
-        mass.iter()
-            .zip(&weight)
+    fn value(&mut self, x: &[f64]) -> f64 {
+        self.totals(x);
+        self.mass
+            .iter()
+            .zip(&self.weight)
             .map(|(&m, &w)| if w > 1e-12 { m / w } else { 0.0 })
             .sum()
     }
 
-    fn gradient(&self, x: &[Vec<f64>], grad: &mut [Vec<f64>]) {
-        let (mass, weight) = self.totals(x);
-        for (k, grow) in grad.iter_mut().enumerate() {
-            for (j, g) in grow.iter_mut().enumerate() {
-                let inv_r = self.inv_rate[k][j];
+    /// Uses the totals `value` left at `x`.
+    fn gradient(&mut self, _x: &[f64], grad: &mut [f64]) {
+        let n_ext = self.fixed_count.len();
+        for (grow, inv_row) in grad
+            .chunks_exact_mut(n_ext)
+            .zip(self.inv_rate.chunks_exact(n_ext))
+        {
+            for (j, (g, &inv_r)) in grow.iter_mut().zip(inv_row).enumerate() {
                 if inv_r == 0.0 {
                     // Masked (unreachable) coordinate; the projection keeps
                     // it at zero regardless.
                     *g = 0.0;
                     continue;
                 }
-                let w = weight[j];
+                let w = self.weight[j];
                 if w > 1e-12 {
                     // d/dx of (m + x)/(w + x/r) at the current point.
-                    *g = (w - mass[j] * inv_r) / (w * w);
+                    *g = (w - self.mass[j] * inv_r) / (w * w);
                 } else {
                     // Empty extender: the first unit of mass is worth the
                     // user's full rate.
@@ -140,13 +165,9 @@ pub fn run_phase2(
     let n_ext = net.extenders();
     let (fixed_count, fixed_weight) = fixed_cells(net, phase1);
 
-    let inv_rate: Vec<Vec<f64>> = u2
+    let inv_rate: Vec<f64> = u2
         .iter()
-        .map(|&i| {
-            (0..n_ext)
-                .map(|j| net.rate(i, j).map_or(0.0, |r| 1.0 / r.value()))
-                .collect()
-        })
+        .flat_map(|&i| (0..n_ext).map(move |j| net.rate(i, j).map_or(0.0, |r| 1.0 / r.value())))
         .collect();
     let masks: Vec<Vec<bool>> = u2
         .iter()
@@ -164,12 +185,8 @@ pub fn run_phase2(
         })
         .collect();
 
-    let objective = Phase2Objective {
-        fixed_count,
-        fixed_weight,
-        inv_rate,
-    };
-    let report = config.solver.maximize(&objective, x0, Some(&masks))?;
+    let mut objective = Phase2Objective::new(fixed_count, fixed_weight, inv_rate);
+    let report = config.solver.maximize(&mut objective, x0, Some(&masks))?;
 
     // Theorem-3 integral extraction: each user snaps to its largest
     // fractional coordinate...

@@ -13,21 +13,25 @@
 //! The solver is generic over an [`Objective`]; `wolt-core` implements the
 //! Phase-II WiFi-throughput objective on top of it.
 
-use crate::simplex::{is_on_simplex, project_simplex, project_simplex_masked};
+use crate::simplex::{is_on_simplex, project_simplex_indexed};
 use crate::OptError;
 
-/// A differentiable objective over a block variable `x`, where `x[i]` is the
-/// decision row of user `i` (a point on the probability simplex over
-/// extenders).
+/// A differentiable objective over a block variable `x` of decision rows,
+/// one per user, each a point on the probability simplex over extenders.
+///
+/// The solver hands `x` over flat and row-major: with `n` coordinates per
+/// row, row `i` is `x[i * n..(i + 1) * n]`.
 pub trait Objective {
     /// Objective value at `x` (to be maximized).
-    fn value(&self, x: &[Vec<f64>]) -> f64;
+    fn value(&mut self, x: &[f64]) -> f64;
 
-    /// Writes the gradient at `x` into `grad` (same shape as `x`).
+    /// Writes the gradient at `x` into `grad` (same layout as `x`).
     ///
-    /// Implementations may assume `grad` was zeroed or will be fully
-    /// overwritten; the solver always passes a buffer of the right shape.
-    fn gradient(&self, x: &[Vec<f64>], grad: &mut [Vec<f64>]);
+    /// The solver calls this only at the point it most recently passed to
+    /// [`value`](Self::value), so an implementation may reuse what `value`
+    /// computed there. It always passes a buffer of the right length;
+    /// every entry must be overwritten.
+    fn gradient(&mut self, x: &[f64], grad: &mut [f64]);
 }
 
 /// Outcome of a [`ProjectedGradient::maximize`] run.
@@ -59,17 +63,17 @@ pub struct SolveReport {
 ///
 /// struct Pull;
 /// impl Objective for Pull {
-///     fn value(&self, x: &[Vec<f64>]) -> f64 {
-///         -(x[0][0] - 0.9_f64).powi(2)
+///     fn value(&mut self, x: &[f64]) -> f64 {
+///         -(x[0] - 0.9_f64).powi(2)
 ///     }
-///     fn gradient(&self, x: &[Vec<f64>], g: &mut [Vec<f64>]) {
-///         g[0][0] = -2.0 * (x[0][0] - 0.9);
-///         g[0][1] = 0.0;
+///     fn gradient(&mut self, x: &[f64], g: &mut [f64]) {
+///         g[0] = -2.0 * (x[0] - 0.9);
+///         g[1] = 0.0;
 ///     }
 /// }
 ///
 /// # fn main() -> Result<(), wolt_opt::OptError> {
-/// let report = ProjectedGradient::new().maximize(&Pull, vec![vec![0.5, 0.5]], None)?;
+/// let report = ProjectedGradient::new().maximize(&mut Pull, vec![vec![0.5, 0.5]], None)?;
 /// assert!((report.x[0][0] - 0.9).abs() < 1e-3);
 /// # Ok(())
 /// # }
@@ -129,51 +133,57 @@ impl ProjectedGradient {
     /// Maximizes `objective` starting from `x0`, each row constrained to the
     /// probability simplex (restricted to `masks[i]` when provided).
     ///
-    /// `x0` rows need not be feasible; they are projected first.
+    /// `x0` rows need not be feasible; they are projected first. The
+    /// solve allocates its working buffers once, up front: the iterate,
+    /// the line-search candidate and the gradient, flat and row-major,
+    /// and each row's list of allowed coordinates. The iterations
+    /// themselves allocate nothing.
     ///
     /// # Errors
     ///
-    /// * [`OptError::DimensionMismatch`] if `masks` is provided with a shape
-    ///   different from `x0`, or any row of `x0` is empty.
-    /// * [`OptError::NonFiniteInput`] if `x0` contains non-finite values or
-    ///   the objective evaluates to a non-finite value at the start.
+    /// * [`OptError::DimensionMismatch`] if any row of `x0` is empty, the
+    ///   rows differ in length, or `masks` is provided with a shape
+    ///   different from `x0` or a row that allows no coordinate.
+    /// * [`OptError::NonFiniteInput`] if `x0` contains non-finite values,
+    ///   the objective evaluates to a non-finite value at the start, or a
+    ///   gradient has a non-finite entry.
     pub fn maximize<O: Objective>(
         &self,
-        objective: &O,
+        objective: &mut O,
         x0: Vec<Vec<f64>>,
         masks: Option<&[Vec<bool>]>,
     ) -> Result<SolveReport, OptError> {
-        let mut x = x0;
-        if x.iter().any(|row| row.is_empty()) {
+        let cols = x0.first().map_or(0, Vec::len);
+        if x0.iter().any(|row| row.is_empty()) {
             return Err(OptError::DimensionMismatch {
                 context: "x0 contains an empty row",
             });
         }
-        if x.iter().flatten().any(|v| !v.is_finite()) {
+        if x0.iter().any(|row| row.len() != cols) {
+            return Err(OptError::DimensionMismatch {
+                context: "x0 rows differ in length",
+            });
+        }
+        if x0.iter().flatten().any(|v| !v.is_finite()) {
             return Err(OptError::NonFiniteInput { context: "x0" });
         }
         if let Some(masks) = masks {
-            if masks.len() != x.len()
-                || masks
-                    .iter()
-                    .zip(&x)
-                    .any(|(mask, row)| mask.len() != row.len())
-            {
+            if masks.len() != x0.len() || masks.iter().any(|mask| mask.len() != cols) {
                 return Err(OptError::DimensionMismatch {
                     context: "masks shape differs from x0",
                 });
             }
+            if masks.iter().any(|mask| !mask.contains(&true)) {
+                return Err(OptError::DimensionMismatch {
+                    context: "a mask row allows no coordinate",
+                });
+            }
         }
 
-        let project = |x: &mut Vec<Vec<f64>>| {
-            for (i, row) in x.iter_mut().enumerate() {
-                match masks {
-                    Some(masks) => project_simplex_masked(row, &masks[i]),
-                    None => project_simplex(row),
-                }
-            }
-        };
-        project(&mut x);
+        let supports = Supports::new(x0.len(), cols, masks);
+        let mut scratch = Vec::with_capacity(2 * cols);
+        let mut x = x0.concat();
+        supports.project(&mut x, &mut scratch);
 
         let mut value = objective.value(&x);
         if !value.is_finite() {
@@ -182,65 +192,100 @@ impl ProjectedGradient {
             });
         }
 
-        let mut grad: Vec<Vec<f64>> = x.iter().map(|row| vec![0.0; row.len()]).collect();
+        let mut grad = vec![0.0; x.len()];
+        let mut candidate = vec![0.0; x.len()];
         let mut iterations = 0;
+        let mut converged = false;
 
         while iterations < self.max_iters {
             iterations += 1;
             objective.gradient(&x, &mut grad);
+            if !grad.iter().all(|g| g.is_finite()) {
+                return Err(OptError::NonFiniteInput {
+                    context: "gradient",
+                });
+            }
 
             // Backtracking line search along the projected-gradient arc.
             let mut step = self.step;
             let mut accepted = None;
             for _ in 0..=self.max_backtracks {
-                let mut candidate = x.clone();
-                for (row, grow) in candidate.iter_mut().zip(&grad) {
-                    for (xv, gv) in row.iter_mut().zip(grow) {
-                        *xv += step * gv;
-                    }
+                for ((c, &xv), &gv) in candidate.iter_mut().zip(&x).zip(&grad) {
+                    *c = xv + step * gv;
                 }
-                project(&mut candidate);
+                supports.project(&mut candidate, &mut scratch);
                 let cand_value = objective.value(&candidate);
                 if cand_value.is_finite() && cand_value > value {
-                    accepted = Some((candidate, cand_value));
+                    accepted = Some(cand_value);
                     break;
                 }
                 step *= self.backtrack;
             }
 
-            match accepted {
-                Some((candidate, cand_value)) => {
-                    let improvement = cand_value - value;
-                    x = candidate;
-                    value = cand_value;
-                    if improvement < self.tol {
-                        return Ok(SolveReport {
-                            x,
-                            value,
-                            iterations,
-                            converged: true,
-                        });
-                    }
-                }
-                // No ascent direction found at any step size: stationary
-                // point of the projected problem.
-                None => {
-                    return Ok(SolveReport {
-                        x,
-                        value,
-                        iterations,
-                        converged: true,
-                    })
-                }
+            // No ascent direction found at any step size: stationary point
+            // of the projected problem.
+            let Some(cand_value) = accepted else {
+                converged = true;
+                break;
+            };
+            let improvement = cand_value - value;
+            std::mem::swap(&mut x, &mut candidate);
+            value = cand_value;
+            if improvement < self.tol {
+                converged = true;
+                break;
             }
         }
 
+        // The final iterate goes back into `x0`'s rows.
+        let mut x_rows = x0;
+        for (i, row) in x_rows.iter_mut().enumerate() {
+            row.copy_from_slice(&x[i * cols..(i + 1) * cols]);
+        }
         Ok(SolveReport {
-            x,
+            x: x_rows,
             value,
             iterations,
-            converged: false,
+            converged,
         })
+    }
+}
+
+/// The row structure of a solve: `cols` coordinates per row and each
+/// row's support, the ascending list of coordinates its simplex spans
+/// (all of them without masks), stored back to back.
+struct Supports {
+    cols: usize,
+    active: Vec<usize>,
+    /// `active[starts[i]..starts[i + 1]]` is row `i`'s support.
+    starts: Vec<usize>,
+}
+
+impl Supports {
+    fn new(rows: usize, cols: usize, masks: Option<&[Vec<bool>]>) -> Self {
+        let mut active = Vec::with_capacity(rows * cols);
+        let mut starts = Vec::with_capacity(rows + 1);
+        starts.push(0);
+        for i in 0..rows {
+            match masks {
+                Some(masks) => active.extend((0..cols).filter(|&j| masks[i][j])),
+                None => active.extend(0..cols),
+            }
+            starts.push(active.len());
+        }
+        Self {
+            cols,
+            active,
+            starts,
+        }
+    }
+
+    /// Projects every row of the flat block `x` in place onto its simplex.
+    fn project(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
+        for (i, span) in self.starts.windows(2).enumerate() {
+            let row = &mut x[i * self.cols..(i + 1) * self.cols];
+            project_simplex_indexed(row, &self.active[span[0]..span[1]], scratch);
+        }
     }
 }
 
@@ -267,29 +312,39 @@ mod tests {
     }
 
     impl Objective for Quadratic {
-        fn value(&self, x: &[Vec<f64>]) -> f64 {
+        fn value(&mut self, x: &[f64]) -> f64 {
             -x.iter()
-                .zip(&self.target)
-                .flat_map(|(row, trow)| row.iter().zip(trow))
+                .zip(self.target.iter().flatten())
                 .map(|(a, b)| (a - b).powi(2))
                 .sum::<f64>()
         }
-        fn gradient(&self, x: &[Vec<f64>], g: &mut [Vec<f64>]) {
-            for ((grow, xrow), trow) in g.iter_mut().zip(x).zip(&self.target) {
-                for ((gv, xv), tv) in grow.iter_mut().zip(xrow).zip(trow) {
-                    *gv = -2.0 * (xv - tv);
-                }
+        fn gradient(&mut self, x: &[f64], g: &mut [f64]) {
+            for ((gv, xv), tv) in g.iter_mut().zip(x).zip(self.target.iter().flatten()) {
+                *gv = -2.0 * (xv - tv);
             }
+        }
+    }
+
+    /// An objective whose gradient is NaN everywhere, as a Phase-II
+    /// gradient becomes when a rate is too small to invert.
+    struct NanGradient;
+
+    impl Objective for NanGradient {
+        fn value(&mut self, _x: &[f64]) -> f64 {
+            0.0
+        }
+        fn gradient(&mut self, _x: &[f64], g: &mut [f64]) {
+            g.fill(f64::NAN);
         }
     }
 
     #[test]
     fn reaches_interior_optimum() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.3, 0.7]],
         };
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![1.0, 0.0]], None)
+            .maximize(&mut obj, vec![vec![1.0, 0.0]], None)
             .unwrap();
         assert!(report.converged);
         assert!((report.x[0][0] - 0.3).abs() < 1e-3, "{:?}", report.x);
@@ -298,11 +353,11 @@ mod tests {
 
     #[test]
     fn clamps_to_vertex_when_target_outside() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![5.0, -5.0]],
         };
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![0.5, 0.5]], None)
+            .maximize(&mut obj, vec![vec![0.5, 0.5]], None)
             .unwrap();
         assert!((report.x[0][0] - 1.0).abs() < 1e-6);
         assert!(report.x[0][1].abs() < 1e-6);
@@ -310,11 +365,11 @@ mod tests {
 
     #[test]
     fn handles_multiple_rows_independently() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.9, 0.1], vec![0.2, 0.8]],
         };
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![0.5, 0.5], vec![0.5, 0.5]], None)
+            .maximize(&mut obj, vec![vec![0.5, 0.5], vec![0.5, 0.5]], None)
             .unwrap();
         assert!((report.x[0][0] - 0.9).abs() < 1e-3);
         assert!((report.x[1][1] - 0.8).abs() < 1e-3);
@@ -322,7 +377,7 @@ mod tests {
 
     #[test]
     fn respects_masks() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![1.0, 0.0, 0.0]],
         };
         // Coordinate 0 (the target) is masked out: the best feasible point
@@ -330,7 +385,7 @@ mod tests {
         // stays exactly zero.
         let masks = vec![vec![false, true, true]];
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![0.0, 0.5, 0.5]], Some(&masks))
+            .maximize(&mut obj, vec![vec![0.0, 0.5, 0.5]], Some(&masks))
             .unwrap();
         assert_eq!(report.x[0][0], 0.0);
         assert!(assert_feasible(&report.x, Some(&masks), 1e-9));
@@ -338,58 +393,95 @@ mod tests {
 
     #[test]
     fn projects_infeasible_start() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.5, 0.5]],
         };
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![10.0, -3.0]], None)
+            .maximize(&mut obj, vec![vec![10.0, -3.0]], None)
             .unwrap();
         assert!(is_on_simplex(&report.x[0], 1e-9));
     }
 
     #[test]
     fn rejects_shape_mismatch() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.5, 0.5]],
         };
         let masks = vec![vec![true]];
         let err = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![0.5, 0.5]], Some(&masks))
+            .maximize(&mut obj, vec![vec![0.5, 0.5]], Some(&masks))
             .unwrap_err();
         assert!(matches!(err, OptError::DimensionMismatch { .. }));
     }
 
     #[test]
+    fn rejects_ragged_rows() {
+        let mut obj = Quadratic {
+            target: vec![vec![0.5, 0.5], vec![1.0]],
+        };
+        let err = ProjectedGradient::new()
+            .maximize(&mut obj, vec![vec![0.5, 0.5], vec![1.0]], None)
+            .unwrap_err();
+        assert!(matches!(err, OptError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn rejects_a_mask_row_without_allowed_coordinates() {
+        let mut obj = Quadratic {
+            target: vec![vec![0.5, 0.5]],
+        };
+        let masks = vec![vec![false, false]];
+        let err = ProjectedGradient::new()
+            .maximize(&mut obj, vec![vec![0.5, 0.5]], Some(&masks))
+            .unwrap_err();
+        assert!(matches!(err, OptError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_gradient() {
+        let masks = vec![vec![true, true, false]];
+        let err = ProjectedGradient::new()
+            .maximize(&mut NanGradient, vec![vec![0.5, 0.5, 0.0]], Some(&masks))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            OptError::NonFiniteInput {
+                context: "gradient"
+            }
+        );
+    }
+
+    #[test]
     fn rejects_non_finite_start() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.5, 0.5]],
         };
         let err = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![f64::NAN, 0.5]], None)
+            .maximize(&mut obj, vec![vec![f64::NAN, 0.5]], None)
             .unwrap_err();
         assert!(matches!(err, OptError::NonFiniteInput { .. }));
     }
 
     #[test]
     fn iteration_budget_reported() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.3, 0.7]],
         };
         let report = ProjectedGradient::new()
             .with_max_iters(1)
             .with_tol(0.0)
-            .maximize(&obj, vec![vec![1.0, 0.0]], None)
+            .maximize(&mut obj, vec![vec![1.0, 0.0]], None)
             .unwrap();
         assert_eq!(report.iterations, 1);
     }
 
     #[test]
     fn stationary_start_converges_immediately() {
-        let obj = Quadratic {
+        let mut obj = Quadratic {
             target: vec![vec![0.5, 0.5]],
         };
         let report = ProjectedGradient::new()
-            .maximize(&obj, vec![vec![0.5, 0.5]], None)
+            .maximize(&mut obj, vec![vec![0.5, 0.5]], None)
             .unwrap();
         assert!(report.converged);
         assert!(report.value.abs() < 1e-12);

@@ -999,6 +999,43 @@ mod tests {
     }
 
     #[test]
+    fn tiny_positive_rate_fails_the_solve_instead_of_panicking() {
+        // A rate this small is finite and positive, so it passes
+        // `Network::new` and the wire decoder, but its Phase-II gradient
+        // is not finite: the solve must fail with a typed error.
+        for tiny in [1e-307, 1e-309] {
+            let mut strict = core(ControllerPolicy::Wolt, 3, &[60.0, 20.0]);
+            let mut resilient = ControllerCore::new(
+                3,
+                ControllerConfig {
+                    policy: ControllerPolicy::Wolt,
+                    estimated_capacities: vec![Mbps::new(60.0), Mbps::new(20.0)],
+                    strict: false,
+                },
+            );
+            for cc in [&mut strict, &mut resilient] {
+                cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
+                cc.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
+            }
+            let err = strict
+                .handle_report(2, 2, &[mb(tiny), mb(12.0)], 0)
+                .unwrap_err();
+            assert!(
+                matches!(err, TestbedError::AssignmentFailed { .. }),
+                "rate {tiny:e}: {err}"
+            );
+            let moves = resilient
+                .handle_report(2, 2, &[mb(tiny), mb(12.0)], 0)
+                .unwrap();
+            assert!(
+                moves.is_empty(),
+                "rate {tiny:e}: a failed solve moves nobody"
+            );
+            assert_eq!(resilient.degraded_solves(), 1, "rate {tiny:e}");
+        }
+    }
+
+    #[test]
     fn restore_rejects_inconsistent_snapshot() {
         let cc = core(ControllerPolicy::Wolt, 2, &[60.0, 20.0]);
         let mut snap = cc.snapshot();
