@@ -80,8 +80,6 @@ pub struct ServeOptions {
     /// How long the daemon keeps serving metrics queries after the last
     /// event, before dismissing agents.
     pub linger: Duration,
-    /// Telemetry coalescing at the session engine (`--coalesce on|off`).
-    pub coalesce: bool,
 }
 
 /// Boots the daemon, runs one session where every user joins in index
@@ -99,7 +97,6 @@ pub fn serve(opts: &ServeOptions) -> Result<String, CliError> {
     config.noise_seed = opts.noise_seed;
     config.snapshot_dir = opts.snapshot.clone();
     config.linger = opts.linger;
-    config.coalesce = opts.coalesce;
     let daemon = Daemon::bind(opts.addr.as_str(), scenario, events, config)?;
     let bound = daemon.local_addr()?;
     if let Some(path) = &opts.addr_file {
@@ -141,8 +138,6 @@ pub struct FleetServeOptions {
     pub metrics_out: Option<PathBuf>,
     /// Listener grace period after the last site finishes.
     pub linger: Duration,
-    /// Telemetry coalescing at every site engine (`--coalesce on|off`).
-    pub coalesce: bool,
 }
 
 /// Boots a multi-site fleet from a spec file, runs every site to
@@ -163,7 +158,6 @@ pub fn serve_fleet(opts: &FleetServeOptions) -> Result<String, CliError> {
         shards: opts.shards,
         snapshot_root: opts.snapshot.clone(),
         linger: opts.linger,
-        coalesce: opts.coalesce,
         ..FleetConfig::default()
     };
     let fleet = Fleet::bind(opts.addr.as_str(), defs, config)?;
@@ -346,7 +340,6 @@ mod tests {
             addr_file: None,
             metrics_out: None,
             linger: Duration::ZERO,
-            coalesce: true,
         }
     }
 

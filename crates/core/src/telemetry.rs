@@ -36,7 +36,7 @@ pub struct TelemetryCache {
     alpha: f64,
     entries: Vec<Option<ClientEntry>>,
     /// Bumped on every mutation that can change the *rates* a planner
-    /// would read (accepted report, forget, eviction) — see
+    /// would read (accepted report, forget) — see
     /// [`version`](Self::version).
     version: u64,
 }
@@ -76,7 +76,7 @@ impl TelemetryCache {
     /// A monotone stamp of the cache's *rate content*: any mutation that
     /// could change what a planner derives from the cache (an accepted
     /// report whose smoothed rates differ from the cached ones, a
-    /// [`forget`](Self::forget), an eviction) bumps it, while content
+    /// [`forget`](Self::forget)) bumps it, while content
     /// no-ops — rejected duplicates, re-reports of unchanged rates (the
     /// EWMA fixed point), [`advance_epoch`](Self::advance_epoch) aging,
     /// forgetting an unknown client — do not. A planner caching a view
@@ -192,27 +192,6 @@ impl TelemetryCache {
     /// The smoothing factor this cache was built with.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Evicts every client whose last accepted report is more than
-    /// `max_staleness` epochs old, returning the evicted indices
-    /// ascending. A long-running controller calls this each epoch so the
-    /// cache stays bounded by the *live* population: clients that
-    /// departed or died silently (and were never explicitly
-    /// [forgotten](Self::forget)) age out instead of accumulating.
-    pub fn evict_stale(&mut self, max_staleness: u64) -> Vec<usize> {
-        let mut evicted = Vec::new();
-        for (i, slot) in self.entries.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|e| e.staleness > max_staleness) {
-                *slot = None;
-                evicted.push(i);
-            }
-        }
-        wolt_support::obs::counter_add("cc.telemetry_evictions", evicted.len() as u64);
-        if !evicted.is_empty() {
-            self.version += 1;
-        }
-        evicted
     }
 
     /// A copy of every client slot, for snapshotting a controller to
@@ -358,38 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn evict_stale_drops_only_aged_out_clients() {
-        // Regression: a long-running controller must not accumulate
-        // entries for clients that silently vanished — staleness-bounded
-        // eviction keeps the cache bounded by the live population.
-        let mut cache = TelemetryCache::new(3, 0.5);
-        cache.record(0, 0, &[mb(10.0)]);
-        cache.record(1, 0, &[mb(20.0)]);
-        for _ in 0..3 {
-            cache.advance_epoch();
-        }
-        // Client 1 keeps reporting; client 0 went silent at epoch 0.
-        cache.record(1, 3, &[mb(20.0)]);
-        assert_eq!(cache.evict_stale(2), vec![0]);
-        assert!(!cache.is_known(0));
-        assert!(cache.is_known(1));
-        assert_eq!(cache.known_clients(), vec![1]);
-        // At the bound (staleness == max) the entry survives.
-        cache.advance_epoch();
-        cache.advance_epoch();
-        assert_eq!(cache.staleness(1), Some(2));
-        assert_eq!(cache.evict_stale(2), Vec::<usize>::new());
-        assert!(cache.is_known(1));
-    }
-
-    #[test]
     fn version_tracks_rate_content_only() {
         let mut cache = TelemetryCache::new(2, 0.5);
         let v0 = cache.version();
         // No-ops leave the version alone…
         cache.advance_epoch();
         cache.forget(0);
-        assert_eq!(cache.evict_stale(10), Vec::<usize>::new());
         assert_eq!(cache.version(), v0);
         // …accepted reports bump it…
         assert!(cache.record(0, 0, &[mb(10.0)]));
@@ -409,14 +362,6 @@ mod tests {
         let v2 = cache.version();
         cache.forget(0);
         assert!(cache.version() > v2);
-        // Eviction of a real entry bumps too.
-        cache.record(1, 0, &[mb(5.0)]);
-        let v3 = cache.version();
-        for _ in 0..3 {
-            cache.advance_epoch();
-        }
-        assert_eq!(cache.evict_stale(1), vec![1]);
-        assert!(cache.version() > v3);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The agent client: one laptop's user-space utility, speaking the
 //! daemon's wire protocol over TCP.
 //!
-//! This is the networked twin of the rig's in-process `client_agent`
-//! thread, minus the fault layer: scan on join (strongest signal =
-//! highest achievable rate, ties toward the lowest extender index),
-//! report rates to the controller, apply directives newest-sequence-wins
-//! and ack every received transmission. A reconnecting agent adopts the
-//! attachment the daemon hands back in the handshake — the radio stayed
-//! associated while the controller was down.
+//! This is the networked twin of the rig's in-process agent thread,
+//! minus the fault layer: both wrap the same [`AgentState`] — scan once
+//! per join, report rates to the controller, apply directives
+//! newest-sequence-wins and ack every received transmission. A
+//! reconnecting agent adopts the attachment the daemon hands back in the
+//! handshake — the radio stayed associated while the controller was
+//! down.
 //!
 //! The agent *expects* the controller to flap: a failed connect, a
 //! [`Envelope::Busy`] refusal, or a connection lost mid-session all feed
@@ -25,7 +25,7 @@ use wolt_sim::Scenario;
 use wolt_support::obs;
 use wolt_support::rng::{RngCore as _, SplitMix64};
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
-use wolt_units::Mbps;
+use wolt_testbed::AgentState;
 
 use crate::wire::{self, Envelope};
 use crate::DaemonError;
@@ -245,14 +245,12 @@ fn run_agent_sited(
     burst: u32,
 ) -> Result<AgentOutcome, DaemonError> {
     let n_users = scenario.user_positions.len();
-    let n_ext = scenario.extender_positions.len();
     if client >= n_users {
         return Err(DaemonError::InvalidConfig {
             context: format!("client {client} out of range for {n_users} users"),
         });
     }
-    let rates: Vec<Option<Mbps>> = (0..n_ext).map(|j| scenario.rate(client, j)).collect();
-    let mut directives_applied = 0usize;
+    let mut agent = AgentState::new(scenario, client);
     loop {
         // Connect round: a fresh budget each time the agent has to go
         // back to dialing, so a controller that keeps crashing (and
@@ -283,14 +281,10 @@ fn run_agent_sited(
                 last_error,
             });
         };
-        match serve(
-            &mut stream,
-            client,
-            attached,
-            &rates,
-            &mut directives_applied,
-            burst,
-        )? {
+        // A restored attachment means this client was mid-session when
+        // the controller died: the radio is still associated.
+        agent.reattach(attached);
+        match serve(&mut stream, &mut agent, burst)? {
             ServeEnd::Dismissed(outcome) => return Ok(outcome),
             // The daemon vanished mid-session (crash, restart,
             // read-deadline kill): dial again.
@@ -316,7 +310,9 @@ fn recv_failure_is_lost(e: &io::Error) -> bool {
 }
 
 /// Serves one connection until the daemon dismisses the agent or the
-/// connection is lost.
+/// connection is lost. A bursty agent sends each scan report `burst`
+/// times: the copies are redundant by construction (same epoch), which
+/// is exactly what the daemon's coalescing absorbs.
 ///
 /// # Errors
 ///
@@ -325,18 +321,9 @@ fn recv_failure_is_lost(e: &io::Error) -> bool {
 /// error.
 fn serve(
     stream: &mut TcpStream,
-    client: usize,
-    mut attached: Option<usize>,
-    rates: &[Option<Mbps>],
-    directives_applied: &mut usize,
+    agent: &mut AgentState,
     burst: u32,
 ) -> Result<ServeEnd, DaemonError> {
-    // A restored attachment means this client was mid-session when the
-    // controller died: the radio is still associated.
-    let mut joined = attached.is_some();
-    let mut last_applied: Option<u64> = None;
-
-    // Serve until the daemon says shutdown or the connection ends.
     loop {
         let envelope = match wire::recv(stream) {
             Ok(Some(envelope)) => envelope,
@@ -349,90 +336,18 @@ fn serve(
                 })
             }
         };
-        let sent = match envelope {
-            Envelope::Agent(ToAgent::Join { epoch, attempt: _ }) => {
-                if !joined {
-                    // Scan: strongest signal = highest achievable rate
-                    // (monotone table); ties break toward the lowest
-                    // extender index, matching the offline RSSI baseline.
-                    let mut best = 0usize;
-                    let mut best_rate = f64::NEG_INFINITY;
-                    for (j, r) in rates.iter().enumerate() {
-                        if let Some(m) = r {
-                            if m.value() > best_rate {
-                                best_rate = m.value();
-                                best = j;
-                            }
-                        }
-                    }
-                    attached = Some(best);
-                    joined = true;
-                    last_applied = None;
-                }
-                // Retransmitted joins re-send the report without
-                // re-scanning, so an applied directive is never
-                // clobbered. A bursty agent repeats the same report:
-                // the extras are redundant by construction (same epoch),
-                // which is exactly what coalescing should absorb.
-                let report = Envelope::Ctrl(ToController::Report {
-                    client,
-                    epoch,
-                    rates: rates.to_vec(),
-                    attached: attached.expect("joined agent is attached"),
-                });
-                let mut sent = wire::send(stream, &report);
-                for _ in 1..burst.max(1) {
-                    if sent.is_err() {
-                        break;
-                    }
-                    sent = wire::send(stream, &report);
-                }
-                sent
-            }
-            Envelope::Agent(ToAgent::Leave { epoch, attempt: _ }) => {
-                if joined {
-                    joined = false;
-                    attached = None;
-                }
-                // Always (re-)notify: the CC dedups by epoch.
-                wire::send(
-                    stream,
-                    &Envelope::Ctrl(ToController::Departed { client, epoch }),
-                )
-            }
+        let reply = match envelope {
             Envelope::Agent(ToAgent::Shutdown)
             | Envelope::Client(ToClient::Shutdown)
             | Envelope::Shutdown { .. } => {
                 return Ok(ServeEnd::Dismissed(AgentOutcome {
-                    attached,
-                    directives_applied: *directives_applied,
+                    attached: agent.attached(),
+                    directives_applied: agent.applied(),
                 }))
             }
-            Envelope::Client(ToClient::Directive {
-                extender,
-                seq,
-                attempt: _,
-            }) => {
-                // A directive can race a departure at shutdown; only a
-                // joined client applies it.
-                if !joined {
-                    continue;
-                }
-                if last_applied.is_none_or(|s| seq > s) {
-                    attached = Some(extender);
-                    last_applied = Some(seq);
-                    *directives_applied += 1;
-                }
-                // Ack every received transmission (idempotent at the
-                // CC); report the *current* attachment.
-                wire::send(
-                    stream,
-                    &Envelope::Ctrl(ToController::Ack {
-                        client,
-                        seq,
-                        extender: attached.expect("joined agent is attached"),
-                    }),
-                )
+            Envelope::Agent(cmd) => agent.command(&cmd),
+            Envelope::Client(ToClient::Directive { extender, seq, .. }) => {
+                agent.directive(extender, seq)
             }
             other => {
                 return Err(DaemonError::Protocol {
@@ -440,8 +355,18 @@ fn serve(
                 })
             }
         };
-        if sent.is_err() {
-            return Ok(ServeEnd::Lost);
+        let Some(reply) = reply else {
+            continue;
+        };
+        let copies = match reply {
+            ToController::Report { .. } => burst.max(1),
+            _ => 1,
+        };
+        let frame = Envelope::Ctrl(reply);
+        for _ in 0..copies {
+            if wire::send(stream, &frame).is_err() {
+                return Ok(ServeEnd::Lost);
+            }
         }
     }
 }

@@ -4,9 +4,10 @@
 //! server), or multiplexed with other sites' engines on a fleet shard
 //! (`wolt_fleet`).
 //!
-//! The engine owns everything the session loop used to own inline: the
-//! [`ControllerCore`], the agent writers, the bounded inbox receiver,
-//! the ledger (present/unresponsive/initial-attach), and the per-epoch
+//! The protocol itself is the shared [`SessionDriver`]: commands,
+//! directive transactions, retransmission, dead declarations and the
+//! session ledger. The engine is its TCP transport: it owns the agent
+//! writers, the bounded inbox receiver, the clock, and the per-epoch
 //! snapshot schedule. What it does *not* own is the accept path: reader
 //! tasks are fed by whoever accepts connections, through the
 //! [`Incoming`] sender returned by [`SessionEngine::new`].
@@ -16,9 +17,9 @@
 //! directive transaction, snapshot) — and returns. A fleet shard
 //! round-robins `step` across its sites; the single-site daemon just
 //! loops it. Because one engine is stepped by exactly one thread and
-//! every decision stays inside its own `ControllerCore`, the canonical
-//! report a site produces is byte-identical however many engines share
-//! the process — the fleet's headline invariant is structural, not
+//! every decision stays inside its own driver, the canonical report a
+//! site produces is byte-identical however many engines share the
+//! process — the fleet's headline invariant is structural, not
 //! coincidental: the single-site daemon *is* a one-engine fleet.
 
 use std::io::Write as _;
@@ -31,15 +32,14 @@ use std::time::{Duration, Instant};
 
 use wolt_sim::Scenario;
 use wolt_support::pool::TaskPool;
-use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_support::{crash_point, obs};
 use wolt_testbed::codec::ReadPatience;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
-    assemble_report, coalesce_frames, ControllerConfig, ControllerCore, Deadlines, Directive,
-    ReportFrame, SessionEvent, SessionLedger, TestbedError,
+    check_session, coalesce_frames, estimate_capacities, ControllerConfig, ControllerCore, Ended,
+    EventOutcome, Input, Outbound, ReportFrame, SessionDriver, SessionEvent, SessionProgress, Step,
+    TestbedError,
 };
-use wolt_units::Mbps;
 
 use crate::inbox::{self, Inbox, InboxSender};
 use crate::server::{DaemonConfig, DaemonOutcome, DaemonStats};
@@ -143,13 +143,6 @@ pub enum Incoming {
     },
 }
 
-/// How one driven event ended.
-enum EventEnd {
-    Completed,
-    Unresponsive,
-    Stopped,
-}
-
 /// What one [`SessionEngine::step`] accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineStep {
@@ -167,9 +160,8 @@ enum Phase {
     /// Collecting agent registrations until every client has a writer.
     /// The connect deadline arms on the first step.
     Waiting { deadline: Option<Instant> },
-    /// Driving session events. `entry_checked` guards the one-time
-    /// stop-after-already-reached check a restored engine needs.
-    Driving { entry_checked: bool },
+    /// Driving session events.
+    Driving,
     /// All events driven (or the run was stopped).
     Done { stopped: bool },
 }
@@ -179,24 +171,26 @@ enum Phase {
 /// `new → step…step (until Finished or Err) → dismiss_agents →
 /// reap_strays… → finish`.
 pub struct SessionEngine {
-    site: String,
     scenario: Scenario,
-    events: Vec<SessionEvent>,
     config: DaemonConfig,
     store: Option<SnapshotStore>,
-    session: Session,
+    driver: SessionDriver,
+    writers: Vec<Option<TcpStream>>,
+    rx: Inbox<Incoming>,
+    /// The driver's clock origin.
+    origin: Instant,
     greeting: Arc<Vec<Option<usize>>>,
-    epochs_done: usize,
-    present: Vec<bool>,
-    unresponsive: Vec<bool>,
-    initial_attach: Vec<Option<usize>>,
     phase: Phase,
+    msgs_in: usize,
+    latencies: Vec<Duration>,
+    stop_reason: Option<String>,
     drive_elapsed: Duration,
     teardown_started: Option<Instant>,
     /// Per-site deterministic counters (`None` for the site-less
     /// single-site daemon).
     ctr_epochs: Option<obs::Counter>,
     ctr_solved: Option<obs::Counter>,
+    ctr_coalesced: Option<obs::Counter>,
 }
 
 impl SessionEngine {
@@ -213,43 +207,25 @@ impl SessionEngine {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::InvalidConfig`] for an empty scenario or zero
-    /// retry budgets; [`DaemonError::SnapshotCorrupt`] for an
-    /// unrecoverable (or wrong-site) store; [`DaemonError::Protocol`]
-    /// for a snapshot that does not match the scenario.
+    /// [`DaemonError::Testbed`] for an empty scenario or zero retry
+    /// budgets; [`DaemonError::SnapshotCorrupt`] for an unrecoverable
+    /// (or wrong-site) store; [`DaemonError::Protocol`] for a snapshot
+    /// that does not match the scenario.
     pub fn new(
         site: &str,
         scenario: Scenario,
         events: Vec<SessionEvent>,
         config: DaemonConfig,
     ) -> Result<(Self, InboxSender<Incoming>), DaemonError> {
-        if scenario.user_positions.is_empty() || scenario.extender_positions.is_empty() {
-            return Err(DaemonError::InvalidConfig {
-                context: "scenario needs at least one user and one extender".into(),
-            });
-        }
-        if config.deadlines.event_attempts == 0 || config.deadlines.ack_attempts == 0 {
-            return Err(DaemonError::InvalidConfig {
-                context: "deadlines need at least one attempt per message".into(),
-            });
-        }
+        check_session(&scenario, &config.deadlines)?;
         let n_users = scenario.user_positions.len();
-
-        // Offline capacity estimation — identical to the rig's.
-        let mut rng = ChaCha8Rng::seed_from_u64(config.noise_seed);
-        let estimated: Vec<Mbps> = scenario
-            .capacities
-            .iter()
-            .map(|&c| config.estimator.estimate(c, &mut rng))
-            .collect::<Result<_, _>>()
-            .map_err(|e| {
-                DaemonError::from(TestbedError::Layer {
-                    context: format!("capacity estimation: {e}"),
-                })
-            })?;
         let core_config = ControllerConfig {
             policy: config.policy,
-            estimated_capacities: estimated,
+            estimated_capacities: estimate_capacities(
+                &scenario,
+                &config.estimator,
+                config.noise_seed,
+            )?,
             strict: false,
         };
 
@@ -265,7 +241,7 @@ impl SessionEngine {
             Some(store) => store.load()?.map(|(_generation, snap)| snap),
             None => None,
         };
-        let (core, epochs_done, present, unresponsive, initial_attach, retries) = match restored {
+        let driver = match restored {
             Some(snap) => {
                 if snap.present.len() != n_users {
                     return Err(DaemonError::Protocol {
@@ -273,80 +249,50 @@ impl SessionEngine {
                     });
                 }
                 let core = ControllerCore::restore(core_config, snap.core)?;
-                (
-                    core,
-                    snap.epochs_done,
-                    snap.present,
-                    snap.unresponsive,
-                    snap.initial_attach,
-                    snap.retries,
-                )
+                let progress = SessionProgress {
+                    epochs_done: snap.epochs_done,
+                    present: snap.present,
+                    unresponsive: snap.unresponsive,
+                    initial_attach: snap.initial_attach,
+                    retries: snap.retries,
+                };
+                SessionDriver::resume(core, events, config.deadlines, progress)
             }
-            None => (
+            None => SessionDriver::new(
                 ControllerCore::new(n_users, core_config),
-                0,
-                vec![false; n_users],
-                vec![false; n_users],
-                vec![None; n_users],
-                0,
+                events,
+                config.deadlines,
             ),
         };
 
         // What reconnecting agents are told in the handshake: the saved
         // association at startup (always `None` on a cold start).
-        let greeting: Arc<Vec<Option<usize>>> = Arc::new(core.association().to_vec());
+        let greeting: Arc<Vec<Option<usize>>> = Arc::new(driver.core().association().to_vec());
 
         let (tx, rx) = inbox::channel::<Incoming>(config.inbox_cap, incoming_sheddable);
-        let session = Session {
-            core,
-            deadlines: config.deadlines,
-            writers: (0..n_users).map(|_| None).collect(),
-            rx,
-            retries,
-            msgs_in: 0,
-            latencies: Vec::new(),
-            stop_reason: None,
-            coalesce: config.coalesce,
-            ctr_coalesced: if site.is_empty() {
-                None
-            } else {
-                Some(obs::site_counter(site, "frames_coalesced"))
-            },
-        };
-        let (ctr_epochs, ctr_solved) = if site.is_empty() {
-            (None, None)
-        } else {
-            (
-                Some(obs::site_counter(site, "epochs")),
-                Some(obs::site_counter(site, "solved")),
-            )
-        };
+        let site_counter = |name| (!site.is_empty()).then(|| obs::site_counter(site, name));
         Ok((
             Self {
-                site: site.to_string(),
                 scenario,
-                events,
                 config,
                 store,
-                session,
+                driver,
+                writers: (0..n_users).map(|_| None).collect(),
+                rx,
+                origin: Instant::now(),
                 greeting,
-                epochs_done,
-                present,
-                unresponsive,
-                initial_attach,
                 phase: Phase::Waiting { deadline: None },
+                msgs_in: 0,
+                latencies: Vec::new(),
+                stop_reason: None,
                 drive_elapsed: Duration::ZERO,
                 teardown_started: None,
-                ctr_epochs,
-                ctr_solved,
+                ctr_epochs: site_counter("epochs"),
+                ctr_solved: site_counter("solved"),
+                ctr_coalesced: site_counter("frames_coalesced"),
             },
             tx,
         ))
-    }
-
-    /// The site this engine serves (empty for a single-site daemon).
-    pub fn site(&self) -> &str {
-        &self.site
     }
 
     /// The handshake greeting: each client's saved attachment at
@@ -357,17 +303,12 @@ impl SessionEngine {
 
     /// Events completed so far (including restored ones).
     pub fn epochs_done(&self) -> usize {
-        self.epochs_done
+        self.driver.progress().epochs_done
     }
 
     /// Events configured in total.
     pub fn n_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Users in this engine's scenario.
-    pub fn n_users(&self) -> usize {
-        self.scenario.user_positions.len()
+        self.driver.n_events()
     }
 
     /// Runs one bounded unit of work: a short connect-wait poll while
@@ -385,9 +326,9 @@ impl SessionEngine {
     pub fn step(&mut self) -> Result<EngineStep, DaemonError> {
         match self.phase {
             Phase::Waiting { deadline } => self.step_wait(deadline),
-            Phase::Driving { entry_checked } => {
+            Phase::Driving => {
                 let t0 = Instant::now();
-                let result = self.step_drive(entry_checked);
+                let result = self.step_drive();
                 self.drive_elapsed += t0.elapsed();
                 result
             }
@@ -395,34 +336,30 @@ impl SessionEngine {
         }
     }
 
-    /// One connect-wait poll, mirroring the pre-refactor
-    /// `wait_for_agents` one bounded receive at a time.
+    /// One connect-wait poll: one bounded receive while registrations
+    /// arrive.
     fn step_wait(&mut self, deadline: Option<Instant>) -> Result<EngineStep, DaemonError> {
         let deadline = deadline.unwrap_or_else(|| Instant::now() + self.config.connect_deadline);
         self.phase = Phase::Waiting {
             deadline: Some(deadline),
         };
-        if !self.session.writers.iter().any(Option::is_none) {
-            self.phase = Phase::Driving {
-                entry_checked: false,
-            };
+        if !self.writers.iter().any(Option::is_none) {
+            self.start_driving();
             return Ok(EngineStep::Progressed);
         }
         let wait = deadline
             .saturating_duration_since(Instant::now())
             .min(WAIT_TICK);
-        match self.session.rx.recv_timeout(wait) {
+        match self.rx.recv_timeout(wait) {
             Ok(Incoming::Register { client, writer }) => {
-                self.session.writers[client] = Some(writer);
-                if !self.session.writers.iter().any(Option::is_none) {
-                    self.phase = Phase::Driving {
-                        entry_checked: false,
-                    };
+                self.writers[client] = Some(writer);
+                if !self.writers.iter().any(Option::is_none) {
+                    self.start_driving();
                 }
                 Ok(EngineStep::Progressed)
             }
             Ok(Incoming::Gone { client }) => {
-                self.session.writers[client] = None;
+                self.writers[client] = None;
                 Ok(EngineStep::Waiting)
             }
             Ok(Incoming::Stop { reason }) => {
@@ -430,22 +367,19 @@ impl SessionEngine {
                 // (that is how a fleet drains a site whose agents are
                 // yet to connect): proceed to the driving phase, whose
                 // first event observes the stop reason and ends the run.
-                self.session.stop_reason = Some(reason);
-                self.phase = Phase::Driving {
-                    entry_checked: false,
-                };
+                self.stop_reason = Some(reason);
+                self.start_driving();
                 Ok(EngineStep::Progressed)
             }
             Ok(Incoming::Msg(_)) => {
                 // Agents do not speak before their first command; drop
                 // pre-session noise.
-                self.session.msgs_in += 1;
+                self.msgs_in += 1;
                 Ok(EngineStep::Waiting)
             }
             Err(RecvTimeoutError::Timeout) => {
                 if Instant::now() >= deadline {
                     let missing: Vec<usize> = self
-                        .session
                         .writers
                         .iter()
                         .enumerate()
@@ -464,129 +398,214 @@ impl SessionEngine {
         }
     }
 
-    /// Drives one session event (skipping over events for unresponsive
-    /// clients), snapshots, and checks the stop conditions — one
-    /// iteration of the pre-refactor `drive` loop.
-    fn step_drive(&mut self, entry_checked: bool) -> Result<EngineStep, DaemonError> {
-        if !entry_checked {
-            self.phase = Phase::Driving {
-                entry_checked: true,
-            };
-            if self
-                .config
-                .stop_after
-                .is_some_and(|k| self.epochs_done >= k)
-            {
-                self.phase = Phase::Done { stopped: true };
-                return Ok(EngineStep::Finished);
+    /// Leaves the connect wait: for the driving phase, or straight for
+    /// the end when a restored session already reached `stop_after`.
+    fn start_driving(&mut self) {
+        let reached = self
+            .config
+            .stop_after
+            .is_some_and(|k| self.epochs_done() >= k);
+        self.phase = if reached {
+            Phase::Done { stopped: true }
+        } else {
+            Phase::Driving
+        };
+    }
+
+    /// Drives one session event (skipping over events of unresponsive
+    /// clients), snapshots, and checks the stop conditions.
+    fn step_drive(&mut self) -> Result<EngineStep, DaemonError> {
+        let before = self.epochs_done();
+        let begun = self.driver.begin(self.origin.elapsed());
+        self.count_epochs(before);
+        let Some(step) = begun? else {
+            self.phase = Phase::Done { stopped: false };
+            return Ok(EngineStep::Finished);
+        };
+        let before = self.epochs_done();
+        let ended = match self.stop_reason {
+            Some(_) => None,
+            None => self.drive_event(step)?,
+        };
+        let Some(ended) = ended else {
+            self.phase = Phase::Done { stopped: true };
+            return Ok(EngineStep::Finished);
+        };
+        if ended.outcome == EventOutcome::Completed {
+            if let Some(c) = &self.ctr_solved {
+                c.inc();
+            }
+            if let SessionEvent::Join(i) = ended.event {
+                // The CC's view after the join transaction: on a
+                // fault-free network it *is* the physical attachment the
+                // rig reads.
+                let attached = self.driver.core().association()[i];
+                self.driver.record_join(i, attached);
             }
         }
-        loop {
-            let idx = self.epochs_done;
-            let Some(&event) = self.events.get(idx) else {
-                self.phase = Phase::Done { stopped: false };
-                return Ok(EngineStep::Finished);
-            };
-            let epoch = idx as u64;
-            let (i, is_join) = match event {
-                SessionEvent::Join(i) => (i, true),
-                SessionEvent::Leave(i) => (i, false),
-            };
-            let n_users = self.scenario.user_positions.len();
-            if i < n_users && self.unresponsive[i] {
-                // A client whose earlier event never completed is out of
-                // the session: later events for it are skipped.
-                self.advance_epoch(idx);
-                continue;
-            }
-            let valid = i < n_users
-                && if is_join {
-                    !self.present[i]
-                } else {
-                    self.present[i]
-                };
-            if !valid {
-                return Err(TestbedError::InvalidConfig {
-                    context: if is_join {
-                        "join of an out-of-range or already-present client"
-                    } else {
-                        "leave of an out-of-range or absent client"
-                    },
-                }
-                .into());
-            }
+        self.count_epochs(before);
+        if let Some(store) = self.store.as_mut() {
+            // A crash on either side of the save is recoverable: before
+            // it, the restarted daemon replays this event; after it, the
+            // daemon resumes at the next one. Both replays are
+            // byte-identical because the snapshot carries complete
+            // decision state and agents re-derive theirs from the
+            // handshake.
+            crash_point!(CRASH_PRE_SNAPSHOT);
+            let t0 = Instant::now();
+            let progress = self.driver.progress();
+            store.save(&DaemonSnapshot {
+                epochs_done: progress.epochs_done,
+                present: progress.present.clone(),
+                unresponsive: progress.unresponsive.clone(),
+                initial_attach: progress.initial_attach.clone(),
+                retries: progress.retries,
+                core: self.driver.core().snapshot(),
+            })?;
+            obs::observe_duration("daemon.snapshot_write_us", t0.elapsed());
+            crash_point!(CRASH_POST_SNAPSHOT);
+        }
+        if self.stop_reason.is_some() || self.config.stop_after == Some(self.epochs_done()) {
+            self.phase = Phase::Done { stopped: true };
+            return Ok(EngineStep::Finished);
+        }
+        Ok(EngineStep::Progressed)
+    }
 
-            match self.session.drive_event(epoch, i, is_join)? {
-                EventEnd::Completed => {
-                    if let Some(c) = &self.ctr_solved {
-                        c.inc();
-                    }
-                    if is_join {
-                        self.present[i] = true;
-                        if self.initial_attach[i].is_none() {
-                            // Strict-equivalent to the rig's read of the
-                            // physical state: on a fault-free network the
-                            // CC view after the join transaction *is* the
-                            // physical attachment.
-                            self.initial_attach[i] = self.session.core.association()[i];
-                        }
-                    } else {
-                        self.present[i] = false;
-                    }
-                }
-                EventEnd::Unresponsive => {
-                    if is_join {
-                        self.unresponsive[i] = true;
-                    } else {
-                        self.present[i] = false;
-                    }
-                }
-                EventEnd::Stopped => {
-                    self.phase = Phase::Done { stopped: true };
-                    return Ok(EngineStep::Finished);
-                }
-            }
-            self.advance_epoch(idx);
-            if let Some(bound) = self.config.max_staleness {
-                self.session.core.evict_stale(bound);
-            }
-            if let Some(store) = self.store.as_mut() {
-                // A crash on either side of the save is recoverable:
-                // before it, the restarted daemon replays this event;
-                // after it, the daemon resumes at the next one. Both
-                // replays are byte-identical because the snapshot
-                // carries complete decision state and agents re-derive
-                // theirs from the handshake.
-                crash_point!(CRASH_PRE_SNAPSHOT);
-                let t0 = Instant::now();
-                store.save(&DaemonSnapshot {
-                    epochs_done: self.epochs_done,
-                    present: self.present.clone(),
-                    unresponsive: self.unresponsive.clone(),
-                    initial_attach: self.initial_attach.clone(),
-                    retries: self.session.retries,
-                    core: self.session.core.snapshot(),
-                })?;
-                obs::observe_duration("daemon.snapshot_write_us", t0.elapsed());
-                crash_point!(CRASH_POST_SNAPSHOT);
-            }
-            if self.session.stop_reason.is_some()
-                || self.config.stop_after == Some(self.epochs_done)
-            {
-                self.phase = Phase::Done { stopped: true };
-                return Ok(EngineStep::Finished);
-            }
-            return Ok(EngineStep::Progressed);
+    /// Counts the epochs finished since `before` in the per-site
+    /// metrics.
+    fn count_epochs(&self, before: usize) {
+        if let Some(c) = &self.ctr_epochs {
+            c.add((self.epochs_done() - before) as u64);
         }
     }
 
-    /// Advances the epoch cursor past event `idx`, counting it in the
-    /// per-site metrics.
-    fn advance_epoch(&mut self, idx: usize) {
-        self.epochs_done = idx + 1;
-        if let Some(c) = &self.ctr_epochs {
-            c.inc();
+    /// Runs the event the driver just began until it ends: delivers each
+    /// step's sends, then feeds the driver whatever arrives next. Returns
+    /// `None` when an operator stop abandons the event before its report
+    /// was planned (a stop mid-transaction lets the transaction settle
+    /// first).
+    fn drive_event(&mut self, mut step: Step) -> Result<Option<Ended>, DaemonError> {
+        let mut planned_at = Instant::now();
+        loop {
+            let unreachable = self.deliver(std::mem::take(&mut step.sends));
+            if let Some(ended) = step.ended {
+                if ended.outcome == EventOutcome::Completed {
+                    // Re-solve latency: from receiving the report that
+                    // was planned to the last ack.
+                    let took = planned_at.elapsed();
+                    obs::observe_duration("daemon.resolve_us", took);
+                    self.latencies.push(took);
+                }
+                return Ok(Some(ended));
+            }
+            let input = match unreachable {
+                Some(client) => Input::Unreachable(client),
+                None => match self.recv(step.deadline)? {
+                    Some(input) => input,
+                    None => return Ok(None),
+                },
+            };
+            let t0 = Instant::now();
+            step = self.driver.handle(self.origin.elapsed(), input)?;
+            if step.planned {
+                planned_at = t0;
+            }
         }
+    }
+
+    /// Waits until `deadline` for the driver's next input: one protocol
+    /// message, or a drained run of scan reports coalesced to each
+    /// client's newest, or [`Input::Tick`] once the deadline passes.
+    /// Registrations and disconnects are applied to the writers on the
+    /// way. `None` when an operator stop arrived outside a transaction.
+    fn recv(&mut self, deadline: Option<Duration>) -> Result<Option<Input>, DaemonError> {
+        loop {
+            let wait = deadline.map_or(WAIT_TICK, |d| d.saturating_sub(self.origin.elapsed()));
+            let mut run = match self.rx.recv_batch_timeout(wait, incoming_sheddable) {
+                Ok(run) => run,
+                Err(RecvTimeoutError::Timeout) => return Ok(Some(Input::Tick)),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(TestbedError::ChannelClosed {
+                        endpoint: "acceptor",
+                    }
+                    .into())
+                }
+            };
+            if run.len() > 1 {
+                // A multi-message drain is, by construction, a
+                // consecutive run of scan reports: keep each client's
+                // newest and plan once for the whole burst.
+                self.msgs_in += run.len();
+                let (kept, dropped) = coalesce_frames(report_frames(run));
+                if dropped > 0 {
+                    obs::counter("daemon.frames_coalesced").add(dropped as u64);
+                    if let Some(c) = &self.ctr_coalesced {
+                        c.add(dropped as u64);
+                    }
+                }
+                return Ok(Some(Input::Reports(kept)));
+            }
+            match run.pop().expect("drained run is never empty") {
+                Incoming::Msg(msg) => {
+                    self.msgs_in += 1;
+                    return Ok(Some(Input::Msg(msg)));
+                }
+                Incoming::Register { client, writer } => self.writers[client] = Some(writer),
+                // A dead connection surfaces through the driver: the next
+                // command finds no writer, and unacked directives run
+                // into their dead declaration.
+                Incoming::Gone { client } => self.writers[client] = None,
+                Incoming::Stop { reason } => {
+                    if !self.driver.transacting() {
+                        self.stop_reason = Some(reason);
+                        return Ok(None);
+                    }
+                    // Finish converging first; the engine stops after
+                    // this event.
+                    self.stop_reason.get_or_insert(reason);
+                }
+            }
+        }
+    }
+
+    /// Writes the driver's sends to the agents' sockets. A broken pipe
+    /// drops the writer. Returns the client whose command found no
+    /// connection; a directive that finds none is left to its ack
+    /// deadlines.
+    fn deliver(&mut self, sends: Vec<Outbound>) -> Option<usize> {
+        let mut unreachable = None;
+        for send in sends {
+            let (client, envelope) = match send {
+                Outbound::Command { client, cmd } => (client, Envelope::Agent(cmd)),
+                Outbound::Directive {
+                    client,
+                    extender,
+                    seq,
+                    attempt,
+                } => (
+                    client,
+                    Envelope::Client(ToClient::Directive {
+                        extender,
+                        seq,
+                        attempt,
+                    }),
+                ),
+            };
+            match self.writers[client]
+                .as_mut()
+                .map(|w| wire::send_counted(w, &envelope))
+            {
+                Some(Ok(sent)) => note_frame_out(sent),
+                _ => {
+                    self.writers[client] = None;
+                    if matches!(envelope, Envelope::Agent(_)) {
+                        unreachable = Some(client);
+                    }
+                }
+            }
+        }
+        unreachable
     }
 
     /// Tells every connected agent to exit (so sockets close and reader
@@ -594,7 +613,12 @@ impl SessionEngine {
     /// teardown window counted into the outcome's elapsed time.
     pub fn dismiss_agents(&mut self) {
         self.teardown_started.get_or_insert_with(Instant::now);
-        self.session.shutdown_agents();
+        for w in self.writers.iter_mut().flatten() {
+            if let Ok(sent) = wire::send_counted(w, &Envelope::Agent(ToAgent::Shutdown)) {
+                note_frame_out(sent);
+            }
+            let _ = w.flush();
+        }
     }
 
     /// One bounded teardown poll: agents that registered after the
@@ -603,7 +627,7 @@ impl SessionEngine {
     /// disconnected — every reader task is gone, the engine is
     /// quiescent.
     pub fn reap_strays(&mut self, wait: Duration) -> bool {
-        match self.session.rx.recv_timeout(wait) {
+        match self.rx.recv_timeout(wait) {
             Ok(Incoming::Register { mut writer, .. }) => {
                 let _ = wire::send(&mut writer, &Envelope::Agent(ToAgent::Shutdown));
                 false
@@ -631,31 +655,22 @@ impl SessionEngine {
         let teardown = self
             .teardown_started
             .map_or(Duration::ZERO, |t| t.elapsed());
-        let physical_assoc = self.session.core.association().to_vec();
-        let report = assemble_report(
+        let report = self.driver.report(
             &self.scenario,
-            &physical_assoc,
-            SessionLedger {
-                policy_name: self.config.policy.name().to_string(),
-                present: self.present,
-                unresponsive: self.unresponsive,
-                initial_attach: self.initial_attach,
-                crashed: Vec::new(),
-                wedged: Vec::new(),
-                declared_dead: self.session.core.declared_dead().to_vec(),
-                directives: self.session.core.directives(),
-                degraded_solves: self.session.core.degraded_solves(),
-                retries: self.session.retries,
-            },
+            self.driver.core().association(),
+            self.config.policy.name(),
+            &[],
+            &[],
         )?;
-        let completed = !stopped && self.epochs_done == self.events.len();
+        let epochs_done = self.epochs_done();
+        let completed = !stopped && epochs_done == self.n_events();
         Ok(DaemonOutcome {
             report,
             completed,
-            epochs_done: self.epochs_done,
+            epochs_done,
             stats: DaemonStats {
-                msgs_in: self.session.msgs_in,
-                resolve_latencies: self.session.latencies,
+                msgs_in: self.msgs_in,
+                resolve_latencies: self.latencies,
                 elapsed: self.drive_elapsed + teardown,
             },
         })
@@ -769,7 +784,10 @@ pub fn serve_connection(
     }
     loop {
         match recv(&mut stream) {
-            Ok(Some((Envelope::Ctrl(msg), bytes))) => {
+            // An agent speaks only for its own client: a message naming
+            // another one is a protocol violation like any unexpected
+            // envelope, and ends the connection below.
+            Ok(Some((Envelope::Ctrl(msg), bytes))) if msg.client() == client => {
                 note_frame_in(bytes);
                 if tx.send(Incoming::Msg(msg)).is_err() {
                     return;
@@ -858,367 +876,4 @@ pub fn spawn_acceptor(
             }
         }
     }))
-}
-
-/// The session loop's mutable state: the decision core plus the TCP
-/// transport bookkeeping.
-struct Session {
-    core: ControllerCore,
-    deadlines: Deadlines,
-    writers: Vec<Option<TcpStream>>,
-    rx: Inbox<Incoming>,
-    retries: usize,
-    msgs_in: usize,
-    latencies: Vec<Duration>,
-    stop_reason: Option<String>,
-    /// Drain-what's-queued telemetry coalescing (`DaemonConfig::coalesce`).
-    coalesce: bool,
-    /// Per-site twin of `daemon.frames_coalesced` (fleet engines only).
-    ctr_coalesced: Option<obs::Counter>,
-}
-
-/// A directive awaiting its ack over TCP.
-struct PendingDirective {
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
-    deadline: Instant,
-}
-
-impl Session {
-    /// Drives one join/leave event: send the command, process the
-    /// resulting report/departure through the core, run the directive
-    /// transaction, retransmitting the command on the rig's schedule.
-    fn drive_event(
-        &mut self,
-        epoch: u64,
-        client: usize,
-        is_join: bool,
-    ) -> Result<EventEnd, DaemonError> {
-        if self.stop_reason.is_some() {
-            return Ok(EventEnd::Stopped);
-        }
-        for attempt in 1..=self.deadlines.event_attempts {
-            if attempt > 1 {
-                self.retries += 1;
-            }
-            let cmd = if is_join {
-                ToAgent::Join { epoch, attempt }
-            } else {
-                ToAgent::Leave { epoch, attempt }
-            };
-            if !self.send_agent(client, &cmd) {
-                // No connection to the client: its event can never
-                // complete. Treat like the rig's silent-agent path.
-                return Ok(EventEnd::Unresponsive);
-            }
-            let deadline = Instant::now() + self.deadlines.event;
-            loop {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                let mut drained = match self.recv_run(wait) {
-                    Ok(batch) => batch,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(TestbedError::ChannelClosed {
-                            endpoint: "acceptor",
-                        }
-                        .into())
-                    }
-                };
-                if drained.len() > 1 {
-                    // A multi-message drain is, by construction, a
-                    // consecutive run of scan reports: coalesce and plan
-                    // once for the whole burst.
-                    self.msgs_in += drained.len();
-                    if let Some(done_epoch) = self.process_report_run(drained)? {
-                        if done_epoch == epoch {
-                            return Ok(EventEnd::Completed);
-                        }
-                    }
-                    continue;
-                }
-                let incoming = drained.pop().expect("drained run is never empty");
-                match incoming {
-                    Incoming::Register { client: c, writer } => {
-                        self.writers[c] = Some(writer);
-                    }
-                    Incoming::Gone { client: c } => {
-                        self.writers[c] = None;
-                    }
-                    Incoming::Stop { reason } => {
-                        self.stop_reason = Some(reason);
-                        return Ok(EventEnd::Stopped);
-                    }
-                    Incoming::Msg(msg) => {
-                        self.msgs_in += 1;
-                        if let Some(done_epoch) = self.process_event_msg(msg)? {
-                            if done_epoch == epoch {
-                                return Ok(EventEnd::Completed);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(EventEnd::Unresponsive)
-    }
-
-    /// Feeds one protocol message through the core; returns the epoch of
-    /// a completed event transaction, if this message triggered one.
-    fn process_event_msg(&mut self, msg: ToController) -> Result<Option<u64>, DaemonError> {
-        match msg {
-            ToController::Report {
-                client,
-                epoch,
-                rates,
-                attached,
-            } => {
-                if self.core.is_duplicate(epoch) {
-                    return Ok(None);
-                }
-                let t0 = Instant::now();
-                let directives = self.core.handle_report(client, epoch, &rates, attached)?;
-                self.transact(directives, epoch)?;
-                let took = t0.elapsed();
-                obs::observe_duration("daemon.resolve_us", took);
-                self.latencies.push(took);
-                Ok(Some(epoch))
-            }
-            ToController::Departed { client, epoch } => {
-                if self.core.is_duplicate(epoch) {
-                    return Ok(None);
-                }
-                let t0 = Instant::now();
-                let directives = self.core.handle_departed(client, epoch)?;
-                self.transact(directives, epoch)?;
-                let took = t0.elapsed();
-                obs::observe_duration("daemon.resolve_us", took);
-                self.latencies.push(took);
-                Ok(Some(epoch))
-            }
-            ToController::Ack {
-                client,
-                seq,
-                extender,
-            } => {
-                // A late ack refreshes the CC view iff it matches the
-                // newest directive.
-                self.core.handle_ack(client, seq, extender);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Receives from the inbox: a consecutive run of coalescible scan
-    /// reports when coalescing is on, exactly one message when it is
-    /// off. Batching is structural (drain-what's-queued), never
-    /// time-based, so a clean serialized session — where at most one
-    /// report is ever queued — behaves identically either way.
-    fn recv_run(&self, wait: Duration) -> Result<Vec<Incoming>, RecvTimeoutError> {
-        if self.coalesce {
-            self.rx.recv_batch_timeout(wait, incoming_sheddable)
-        } else {
-            self.rx.recv_timeout(wait).map(|m| vec![m])
-        }
-    }
-
-    /// Counts frames dropped by coalescing, globally and per site.
-    fn note_coalesced(&self, dropped: usize) {
-        if dropped == 0 {
-            return;
-        }
-        obs::counter("daemon.frames_coalesced").add(dropped as u64);
-        if let Some(ctr) = &self.ctr_coalesced {
-            ctr.add(dropped as u64);
-        }
-    }
-
-    /// Feeds a drained run of scan reports through the core as one
-    /// batch: coalesce each client to its newest frame, ingest the
-    /// survivors, plan once, transact once. Returns the epoch of the
-    /// completed event transaction, if the batch contained one.
-    fn process_report_run(&mut self, run: Vec<Incoming>) -> Result<Option<u64>, DaemonError> {
-        let (kept, dropped) = coalesce_frames(report_frames(run));
-        self.note_coalesced(dropped);
-        let t0 = Instant::now();
-        let outcome = self.core.handle_report_batch(&kept)?;
-        let Some(last_epoch) = outcome.last_epoch else {
-            return Ok(None);
-        };
-        self.transact(outcome.directives, last_epoch)?;
-        let took = t0.elapsed();
-        obs::observe_duration("daemon.resolve_us", took);
-        self.latencies.push(took);
-        Ok(Some(last_epoch))
-    }
-
-    /// One directive transaction over TCP — the rig's `run_transaction`
-    /// with socket writes for sends and the merged queue for receives.
-    fn transact(&mut self, directives: Vec<Directive>, epoch: u64) -> Result<(), DaemonError> {
-        let mut pending: Vec<PendingDirective> = Vec::new();
-        self.enqueue(&mut pending, directives);
-        while !pending.is_empty() {
-            let now = Instant::now();
-            let mut d = 0;
-            while d < pending.len() {
-                if pending[d].deadline > now {
-                    d += 1;
-                    continue;
-                }
-                if pending[d].attempt >= self.deadlines.ack_attempts {
-                    let casualty = pending.remove(d).client;
-                    // The dead client's load vanishes: re-optimize the
-                    // survivors (may supersede other in-flight
-                    // directives).
-                    let replan = self.core.declare_dead(casualty)?;
-                    self.enqueue(&mut pending, replan);
-                    d = 0;
-                } else {
-                    let p = &mut pending[d];
-                    p.attempt += 1;
-                    self.retries += 1;
-                    p.deadline = now + self.deadlines.backoff(p.attempt);
-                    let (client, extender, seq, attempt) = (p.client, p.extender, p.seq, p.attempt);
-                    self.send_directive(client, extender, seq, attempt);
-                    d += 1;
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            let next = pending
-                .iter()
-                .map(|p| p.deadline)
-                .min()
-                .expect("pending is non-empty");
-            let wait = next.saturating_duration_since(Instant::now());
-            let mut drained = match self.recv_run(wait) {
-                Ok(batch) => batch,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(TestbedError::ChannelClosed { endpoint: "client" }.into())
-                }
-            };
-            if drained.len() > 1 {
-                // A run of reports mid-transaction: retransmissions of
-                // the current (or an older) event, consumed silently as
-                // the single-message arm below does — minus the stale
-                // copies, which count as coalesced.
-                self.msgs_in += drained.len();
-                let frames = report_frames(drained);
-                if frames.iter().any(|f| f.epoch > epoch) {
-                    return Err(TestbedError::AssignmentFailed {
-                        context: "unexpected message during directive transaction".to_string(),
-                    }
-                    .into());
-                }
-                let (_, dropped) = coalesce_frames(frames);
-                self.note_coalesced(dropped);
-                continue;
-            }
-            let incoming = drained.pop().expect("drained run is never empty");
-            match incoming {
-                Incoming::Msg(ToController::Ack {
-                    client,
-                    seq,
-                    extender,
-                }) => {
-                    self.msgs_in += 1;
-                    if self.core.handle_ack(client, seq, extender) {
-                        pending.retain(|p| !(p.client == client && p.seq == seq));
-                    }
-                }
-                Incoming::Msg(ToController::Report { epoch: e, .. })
-                | Incoming::Msg(ToController::Departed { epoch: e, .. }) => {
-                    self.msgs_in += 1;
-                    // Retransmissions of the current (or an older) event
-                    // are expected; a genuinely new event mid-transaction
-                    // means serialization broke.
-                    if e > epoch {
-                        return Err(TestbedError::AssignmentFailed {
-                            context: "unexpected message during directive transaction".to_string(),
-                        }
-                        .into());
-                    }
-                }
-                Incoming::Register { client, writer } => {
-                    self.writers[client] = Some(writer);
-                }
-                Incoming::Gone { client } => {
-                    // The ack deadline machinery turns a dead connection
-                    // into a declared-dead client.
-                    self.writers[client] = None;
-                }
-                Incoming::Stop { reason } => {
-                    // Finish converging first; the driver stops after
-                    // this event.
-                    self.stop_reason.get_or_insert(reason);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Adds planned directives to the pending set (superseding in-flight
-    /// ones for the same client) and performs their first transmission.
-    fn enqueue(&mut self, pending: &mut Vec<PendingDirective>, directives: Vec<Directive>) {
-        for dir in directives {
-            pending.retain(|p| p.client != dir.client);
-            pending.push(PendingDirective {
-                client: dir.client,
-                extender: dir.extender,
-                seq: dir.seq,
-                attempt: 1,
-                deadline: Instant::now() + self.deadlines.backoff(1),
-            });
-            self.send_directive(dir.client, dir.extender, dir.seq, 1);
-        }
-    }
-
-    /// Sends one directive transmission; a broken pipe drops the writer
-    /// and lets the ack machinery handle the silence.
-    fn send_directive(&mut self, client: usize, extender: usize, seq: u64, attempt: u32) {
-        let env = Envelope::Client(ToClient::Directive {
-            extender,
-            seq,
-            attempt,
-        });
-        if let Some(w) = self.writers[client].as_mut() {
-            match wire::send_counted(w, &env) {
-                Ok(sent) => note_frame_out(sent),
-                Err(_) => self.writers[client] = None,
-            }
-        }
-    }
-
-    /// Sends one harness command; `false` when the client has no usable
-    /// connection.
-    fn send_agent(&mut self, client: usize, cmd: &ToAgent) -> bool {
-        let env = Envelope::Agent(cmd.clone());
-        match self.writers[client].as_mut() {
-            Some(w) => match wire::send_counted(w, &env) {
-                Ok(sent) => {
-                    note_frame_out(sent);
-                    true
-                }
-                Err(_) => {
-                    self.writers[client] = None;
-                    false
-                }
-            },
-            None => false,
-        }
-    }
-
-    /// Tells every connected agent to exit (so sockets close and reader
-    /// tasks drain) and flushes the writers.
-    fn shutdown_agents(&mut self) {
-        for w in self.writers.iter_mut().flatten() {
-            if let Ok(sent) = wire::send_counted(w, &Envelope::Agent(ToAgent::Shutdown)) {
-                note_frame_out(sent);
-            }
-            let _ = w.flush();
-        }
-    }
 }

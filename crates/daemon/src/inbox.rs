@@ -143,32 +143,8 @@ impl<T> Inbox<T> {
     /// expires, `Disconnected` when every sender is gone and the queue
     /// is drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some((_, msg)) = state.queue.pop_front() {
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (next, result) = self
-                .shared
-                .available
-                .wait_timeout(state, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            state = next;
-            if result.timed_out() && state.queue.is_empty() {
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                return Err(RecvTimeoutError::Timeout);
-            }
-        }
+        let mut one = self.recv_batch_timeout(timeout, |_| false)?;
+        Ok(one.pop().expect("a drained batch is never empty"))
     }
 
     /// Blocks for the next message like [`recv_timeout`](Self::recv_timeout),

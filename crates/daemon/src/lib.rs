@@ -12,11 +12,14 @@
 //! that checksums clean.
 //!
 //! Every association *decision* lives in the shared
-//! [`wolt_testbed::ControllerCore`]; this crate contributes only
-//! transport. That is what makes the daemon's clean-session
+//! [`wolt_testbed::ControllerCore`], and the protocol around it —
+//! commands, directive transactions, retransmission, dead declarations —
+//! in the shared [`wolt_testbed::SessionDriver`] and
+//! [`wolt_testbed::AgentState`]; this crate contributes only transport.
+//! That is what makes the daemon's clean-session
 //! [`wolt_testbed::SessionReport`] canonically byte-identical to
 //! [`wolt_testbed::run_session`] for the same (scenario, seed, policy):
-//! both transports feed the identical core the identical inputs in the
+//! both transports feed the identical driver the identical inputs in the
 //! identical order.
 //!
 //! Hermetic like the rest of the workspace: `std::net` only, no external

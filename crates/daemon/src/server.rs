@@ -59,7 +59,7 @@ use std::time::Duration;
 use wolt_plc::capacity::CapacityEstimator;
 use wolt_sim::Scenario;
 use wolt_support::obs;
-use wolt_testbed::{ControllerPolicy, Deadlines, SessionEvent, SessionReport};
+use wolt_testbed::{check_session, ControllerPolicy, Deadlines, SessionEvent, SessionReport};
 
 use crate::engine::{self, EngineStep, HelloDecision, Incoming, SessionEngine};
 use crate::store;
@@ -91,16 +91,6 @@ pub struct DaemonConfig {
     pub stop_after: Option<usize>,
     /// How long to wait for every agent to connect before giving up.
     pub connect_deadline: Duration,
-    /// Reader-pool workers; `0` sizes the pool to `n_users + 2` (one per
-    /// expected agent plus slack for an operator connection).
-    pub workers: usize,
-    /// Evict telemetry entries staler than this many epochs after each
-    /// event. Off by default: agents report once at join, so a client's
-    /// staleness grows with every later epoch and an aggressive bound
-    /// would evict *live* clients (and change planning inputs). Enable
-    /// only for open-ended deployments where departed clients may vanish
-    /// without a notice.
-    pub max_staleness: Option<u64>,
     /// How long to keep the listener (and metrics service) alive after
     /// the last event completes, before dismissing agents and shutting
     /// down. Zero by default. Gives external scrapers a deterministic
@@ -118,14 +108,6 @@ pub struct DaemonConfig {
     /// dropped (idle between frames is always allowed). `Duration::ZERO`
     /// disables the deadline (fully blocking reads, as before).
     pub read_stall: Duration,
-    /// Drain-what's-queued telemetry coalescing: the session engine
-    /// takes whole consecutive runs of queued scan reports off the
-    /// inbox, keeps each client's newest (`daemon.frames_coalesced`
-    /// counts the rest), and plans once per run. Batching is structural,
-    /// never time-based, so a clean serialized session — at most one
-    /// report queued at a time — is byte-identical with it on or off.
-    /// On by default.
-    pub coalesce: bool,
 }
 
 impl DaemonConfig {
@@ -140,13 +122,10 @@ impl DaemonConfig {
             snapshot_keep: store::DEFAULT_KEEP,
             stop_after: None,
             connect_deadline: Duration::from_secs(30),
-            workers: 0,
-            max_staleness: None,
             linger: Duration::ZERO,
             max_connections: 0,
             inbox_cap: 0,
             read_stall: Duration::from_secs(5),
-            coalesce: true,
         }
     }
 }
@@ -193,24 +172,15 @@ impl Daemon {
     /// # Errors
     ///
     /// [`DaemonError::Io`] when the address cannot be bound;
-    /// [`DaemonError::InvalidConfig`] for an empty scenario or zero
-    /// retry budgets.
+    /// [`DaemonError::Testbed`] for an empty scenario or zero retry
+    /// budgets.
     pub fn bind(
         addr: impl ToSocketAddrs,
         scenario: Scenario,
         events: Vec<SessionEvent>,
         config: DaemonConfig,
     ) -> Result<Self, DaemonError> {
-        if scenario.user_positions.is_empty() || scenario.extender_positions.is_empty() {
-            return Err(DaemonError::InvalidConfig {
-                context: "scenario needs at least one user and one extender".into(),
-            });
-        }
-        if config.deadlines.event_attempts == 0 || config.deadlines.ack_attempts == 0 {
-            return Err(DaemonError::InvalidConfig {
-                context: "deadlines need at least one attempt per message".into(),
-            });
-        }
+        check_session(&scenario, &config.deadlines)?;
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
             listener,
@@ -238,12 +208,9 @@ impl Daemon {
     /// [`DaemonError::Testbed`] for session-machinery failures;
     /// [`DaemonError::Io`] for socket failures.
     pub fn run(self) -> Result<DaemonOutcome, DaemonError> {
-        let n_users = self.scenario.user_positions.len();
-        let workers = if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            n_users + 2
-        };
+        // One reader per expected agent plus slack for an operator
+        // connection.
+        let workers = self.scenario.user_positions.len() + 2;
         let linger = self.config.linger;
         let max_connections = self.config.max_connections;
         let read_stall = self.config.read_stall;

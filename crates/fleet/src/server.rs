@@ -91,11 +91,6 @@ pub struct FleetConfig {
     pub inbox_cap: usize,
     /// Mid-frame stall budget per connection.
     pub read_stall: Duration,
-    /// Reader-pool workers; `0` sizes to total users + shards + 2.
-    pub workers: usize,
-    /// Drain-what's-queued telemetry coalescing at every site's engine
-    /// (see [`DaemonConfig::coalesce`]). On by default.
-    pub coalesce: bool,
 }
 
 impl Default for FleetConfig {
@@ -111,8 +106,6 @@ impl Default for FleetConfig {
             max_connections: 0,
             inbox_cap: 0,
             read_stall: single.read_stall,
-            workers: 0,
-            coalesce: single.coalesce,
         }
     }
 }
@@ -128,7 +121,6 @@ fn daemon_config_for(def: &SiteDef, config: &FleetConfig) -> DaemonConfig {
     c.connect_deadline = config.connect_deadline;
     c.inbox_cap = config.inbox_cap;
     c.read_stall = config.read_stall;
-    c.coalesce = config.coalesce;
     c
 }
 
@@ -302,11 +294,9 @@ impl Fleet {
         }
         debug_assert!(runs.is_empty());
 
-        let workers = if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            total_users + shards_n + 2
-        };
+        // One reader per expected agent, plus slack for operator
+        // connections.
+        let workers = total_users + shards_n + 2;
         let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = {
             let stop = Arc::clone(&stop);
             let router = Arc::clone(&router);

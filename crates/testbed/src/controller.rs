@@ -1,8 +1,9 @@
 //! The Central Controller's decision core, independent of transport.
 //!
-//! [`ControllerCore`] is the state machine behind both faces of the CC:
+//! [`ControllerCore`] is the decision state behind both faces of the CC:
 //! the in-process [`rig`](crate::rig) (mpsc channels, optionally faulty)
-//! and the networked `wolt-daemon` (TCP + length-prefixed JSON frames).
+//! and the networked `wolt-daemon` (TCP + length-prefixed JSON frames),
+//! which both drive it through the [`SessionDriver`](crate::session::SessionDriver).
 //! It owns everything that determines *what the controller decides* —
 //! the [`TelemetryCache`] planning view, the association bookkeeping,
 //! monotone directive sequence numbers, dead-client accounting, and the
@@ -319,20 +320,6 @@ impl ControllerCore {
         self.latest_seq[client] = None;
         self.declared_dead.push(client);
         self.plan(None)
-    }
-
-    /// Evicts telemetry entries staler than `max_staleness` epochs (see
-    /// [`TelemetryCache::evict_stale`]), so a long-running controller
-    /// whose clients vanish without a departure notice cannot retain
-    /// their state forever. Evicted clients are also unassigned in the
-    /// CC's view. Returns the evicted indices, ascending.
-    pub fn evict_stale(&mut self, max_staleness: u64) -> Vec<usize> {
-        let evicted = self.telemetry.evict_stale(max_staleness);
-        for &i in &evicted {
-            self.association[i] = None;
-            self.latest_seq[i] = None;
-        }
-        evicted
     }
 
     /// Runs the policy on the telemetry view and returns a directive for
@@ -950,20 +937,6 @@ mod tests {
         assert_eq!(snap.telemetry[0], None);
         assert_eq!(snap.association[0], None);
         assert_eq!(snap.latest_seq[0], None);
-    }
-
-    #[test]
-    fn evict_stale_unassigns_evicted_clients() {
-        let mut cc = core(ControllerPolicy::Greedy, 2, &[60.0, 20.0]);
-        cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
-        // Client 1 reports at each later epoch; client 0 stays silent and
-        // ages past the bound.
-        cc.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
-        cc.handle_departed(1, 2).unwrap();
-        cc.handle_report(1, 3, &[mb(40.0), mb(20.0)], 0).unwrap();
-        assert_eq!(cc.evict_stale(2), vec![0]);
-        assert_eq!(cc.association()[0], None);
-        assert_eq!(cc.snapshot().telemetry[0], None);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub struct FaultPlan {
     pub to_cc: LinkFaults,
     /// Faults on the CC → client link. Its `max_delay` is served by the
     /// receiving agent before it processes the directive, which keeps the
-    /// controller thread non-blocking.
+    /// session loop non-blocking.
     pub to_client: LinkFaults,
     /// Clients whose agent thread exits silently right after sending its
     /// first scan report — no `Departed`, no acks, channel closed.

@@ -9,15 +9,19 @@
 //!
 //! * [`protocol`] — the client ↔ Central Controller messages (scan
 //!   report, association directive, ack, departure).
-//! * [`rig`] — one controller thread plus one thread per client laptop,
-//!   joined sequentially over mpsc channels; the CC runs WOLT /
-//!   Greedy / RSSI on *estimated* PLC capacities while outcomes are
-//!   evaluated on the true ones.
+//! * [`rig`] — the Central Controller on the calling thread plus one
+//!   thread per client laptop, joined sequentially over mpsc channels;
+//!   the CC runs WOLT / Greedy / RSSI on *estimated* PLC capacities
+//!   while outcomes are evaluated on the true ones.
+//! * [`session`] — the protocol as one clock-free state machine: the
+//!   [`session::SessionDriver`] (commands, directive transactions,
+//!   retransmission, dead declarations) and the [`session::AgentState`]
+//!   every agent follows. The in-process [`rig`] and the networked
+//!   `wolt-daemon` are both thin transports over it.
 //! * [`controller`] — the transport-agnostic Central Controller brain
 //!   ([`controller::ControllerCore`]): epoch dedup, telemetry ingest,
 //!   policy planning, monotone directive sequencing, declared-dead
-//!   bookkeeping, and JSON snapshot/restore. Both the in-process [`rig`]
-//!   and the networked `wolt-daemon` drive it.
+//!   bookkeeping, and JSON snapshot/restore.
 //! * [`codec`] — the length-prefixed JSON wire codec for [`protocol`]
 //!   messages, used by the daemon's TCP transport.
 //! * [`faults`] — seeded deterministic fault injection (message drop /
@@ -52,6 +56,7 @@ pub mod experiment;
 pub mod faults;
 pub mod protocol;
 pub mod rig;
+pub mod session;
 
 mod error;
 
@@ -62,6 +67,10 @@ pub use controller::{
 pub use error::TestbedError;
 pub use faults::{FaultPlan, LinkFaults};
 pub use rig::{
-    assemble_report, run_faulty_session, run_rig, run_session, ControllerPolicy, Deadlines,
-    RigConfig, SessionEvent, SessionLedger, SessionReport, TopologyOutcome,
+    run_faulty_session, run_rig, run_session, ControllerPolicy, Deadlines, RigConfig, SessionEvent,
+    SessionReport, TopologyOutcome,
+};
+pub use session::{
+    check_session, estimate_capacities, AgentState, Ended, EventOutcome, Input, Outbound,
+    SessionDriver, SessionProgress, Step,
 };

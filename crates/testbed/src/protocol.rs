@@ -60,6 +60,17 @@ pub enum ToController {
     },
 }
 
+impl ToController {
+    /// The client the message speaks for.
+    pub fn client(&self) -> usize {
+        match self {
+            ToController::Report { client, .. }
+            | ToController::Ack { client, .. }
+            | ToController::Departed { client, .. } => *client,
+        }
+    }
+}
+
 /// Messages the Central Controller sends to a client agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToClient {

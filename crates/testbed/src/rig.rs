@@ -3,8 +3,8 @@
 //!
 //! The paper implements WOLT "as a user-space utility that runs on users'
 //! devices as well as the server" (§V-A). This module reproduces that
-//! architecture: one controller thread (the CC) and one thread per client
-//! laptop, connected by mpsc channels. Clients join (and may leave)
+//! architecture: the calling thread is the CC and each client laptop is
+//! a thread, connected by mpsc channels. Clients join (and may leave)
 //! sequentially, as laptops were carried around the lab: each scans,
 //! attaches to its strongest-RSSI extender, reports its rate estimates to
 //! the CC, and re-associates when a directive arrives. The CC runs the
@@ -12,6 +12,11 @@
 //! the offline iperf procedure), while the physical outcome is always
 //! evaluated on the true capacities — estimation error is part of the
 //! experiment.
+//!
+//! The protocol itself lives in [`crate::session`]: the CC is a
+//! [`SessionDriver`] fed from the agents' channel and the wall clock, and
+//! every agent thread wraps an [`AgentState`]. This module adds only the
+//! transport: channels, threads, the shared air, and the fault plan.
 //!
 //! # Resilience
 //!
@@ -29,9 +34,9 @@
 //! * a client that misses its whole ack retry budget is declared dead:
 //!   the CC forgets its telemetry and re-optimizes the survivors instead
 //!   of stranding the transaction;
-//! * the CC plans on a [`TelemetryCache`] of last-known-good smoothed
-//!   rates, and degrades to the previous association when a solve fails
-//!   mid-faults instead of panicking.
+//! * the CC plans on a [`TelemetryCache`](wolt_core::TelemetryCache) of
+//!   last-known-good smoothed rates, and degrades to the previous
+//!   association when a solve fails mid-faults instead of panicking.
 //!
 //! The outcome of a faulty session is deterministic for a fixed scenario,
 //! seed, and plan (see [`crate::faults`]): fault decisions are keyed by
@@ -39,21 +44,21 @@
 //! happen, never *what* the session decides — provided the plan's delays
 //! stay well below the ack retry budget.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use wolt_core::{evaluate, Association};
+use wolt_core::Association;
 use wolt_plc::capacity::CapacityEstimator;
 use wolt_sim::Scenario;
-use wolt_support::obs;
-use wolt_support::rng::{ChaCha8Rng, SeedableRng};
-use wolt_units::Mbps;
 
-use crate::controller::{ControllerConfig, ControllerCore, Directive};
+use crate::controller::{ControllerConfig, ControllerCore};
 use crate::faults::{FaultPlan, Link, MessageKey};
 use crate::protocol::{ToAgent, ToClient, ToController};
+use crate::session::{
+    check_session, estimate_capacities, AgentState, EventOutcome, Input, Outbound, SessionDriver,
+};
 use crate::TestbedError;
 
 /// Which association logic the Central Controller runs.
@@ -80,8 +85,8 @@ impl ControllerPolicy {
     }
 }
 
-/// Deadline and retry budgets for the control loop. Every blocking wait
-/// in the rig is bounded by one of these.
+/// Deadline and retry budgets for the session protocol, shared by every
+/// transport. Every blocking wait is bounded by one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadlines {
     /// How long the harness waits for one join/leave transaction to
@@ -97,8 +102,6 @@ pub struct Deadlines {
     pub ack_attempts: u32,
     /// Upper bound on the backed-off ack deadline.
     pub ack_backoff_cap: Duration,
-    /// Poll interval of the CC's idle loop (shutdown detection).
-    pub idle: Duration,
 }
 
 impl Default for Deadlines {
@@ -109,7 +112,6 @@ impl Default for Deadlines {
             ack: Duration::from_millis(25),
             ack_attempts: 6,
             ack_backoff_cap: Duration::from_millis(200),
-            idle: Duration::from_millis(50),
         }
     }
 }
@@ -117,9 +119,7 @@ impl Default for Deadlines {
 impl Deadlines {
     /// The ack deadline for the given (1-based) transmission attempt:
     /// exponential backoff from [`ack`](Self::ack), capped at
-    /// [`ack_backoff_cap`](Self::ack_backoff_cap). Public so alternate
-    /// transports (the `wolt-daemon` TCP server) retransmit on the same
-    /// schedule as the in-process rig.
+    /// [`ack_backoff_cap`](Self::ack_backoff_cap).
     pub fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
         self.ack.saturating_mul(factor).min(self.ack_backoff_cap)
@@ -157,6 +157,15 @@ pub enum SessionEvent {
     Leave(usize),
 }
 
+impl SessionEvent {
+    /// The client the event concerns.
+    pub fn client(self) -> usize {
+        match self {
+            SessionEvent::Join(i) | SessionEvent::Leave(i) => i,
+        }
+    }
+}
+
 /// Result of running one topology through the rig.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyOutcome {
@@ -174,8 +183,9 @@ pub struct TopologyOutcome {
     pub jain: Option<f64>,
     /// Distinct directives the CC issued (retransmissions not counted).
     pub directives: usize,
-    /// Surviving clients whose final extender differs from their initial
-    /// strongest-RSSI attachment.
+    /// Surviving clients whose final extender differs from their
+    /// attachment when their first join transaction completed (so a move
+    /// directed during that transaction is not a switch).
     pub switches: usize,
 }
 
@@ -308,14 +318,9 @@ pub fn run_faulty_session(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<SessionReport, TestbedError> {
-    let n_users = scenario.user_positions.len();
-    let n_ext = scenario.extender_positions.len();
-    if n_users == 0 || n_ext == 0 {
-        return Err(TestbedError::InvalidConfig {
-            context: "scenario needs at least one user and one extender",
-        });
-    }
+    check_session(scenario, &config.deadlines)?;
     plan.validate()?;
+    let n_users = scenario.user_positions.len();
     if plan
         .crashed
         .iter()
@@ -326,172 +331,87 @@ pub fn run_faulty_session(
             context: "fault plan names an out-of-range client",
         });
     }
-    let deadlines = config.deadlines;
-    if deadlines.event_attempts == 0 || deadlines.ack_attempts == 0 {
-        return Err(TestbedError::InvalidConfig {
-            context: "deadlines need at least one attempt per message",
-        });
-    }
     let strict = plan.is_none();
     let plan = Arc::new(plan.clone());
-
-    // Offline capacity estimation (the paper's iperf3 procedure).
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let estimated: Vec<Mbps> = scenario
-        .capacities
-        .iter()
-        .map(|&c| config.estimator.estimate(c, &mut rng))
-        .collect::<Result<_, _>>()
-        .map_err(|e| TestbedError::Layer {
-            context: format!("capacity estimation: {e}"),
-        })?;
-
-    // Physical association state shared by all agents (the "air").
-    let physical: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; n_users]));
-
-    let (to_cc_tx, to_cc_rx) = channel::<ToController>();
-    let (done_tx, done_rx) = channel::<DoneEvent>();
-
-    let mut agent_handles = Vec::with_capacity(n_users);
-    let mut agent_txs: Vec<Sender<AgentInbox>> = Vec::with_capacity(n_users);
-
-    for i in 0..n_users {
-        // One inbox per agent: harness commands and CC directives are
-        // serialized by the session loop, so a single merged queue
-        // replaces a two-channel select without reordering anything.
-        let (agent_tx, agent_rx) = channel::<AgentInbox>();
-        agent_txs.push(agent_tx);
-        let rates: Vec<Option<Mbps>> = (0..n_ext).map(|j| scenario.rate(i, j)).collect();
-        let physical = Arc::clone(&physical);
-        let to_cc = to_cc_tx.clone();
-        let plan = Arc::clone(&plan);
-        agent_handles.push(thread::spawn(move || {
-            client_agent(i, rates, physical, to_cc, agent_rx, plan)
-        }));
-    }
-
-    // The Central Controller thread: the shared decision core plus this
-    // rig's mpsc transport.
-    let ctx = ControllerCtx {
-        deadlines,
-        plan: Arc::clone(&plan),
-        strict,
-    };
     let core = ControllerCore::new(
         n_users,
         ControllerConfig {
             policy: config.policy,
-            estimated_capacities: estimated,
+            estimated_capacities: estimate_capacities(scenario, &config.estimator, seed)?,
             strict,
         },
     );
-    let cc_client_txs = agent_txs.clone();
-    let cc_handle = thread::spawn(move || controller(ctx, core, to_cc_rx, cc_client_txs, done_tx));
+    let mut driver = SessionDriver::new(core, events.to_vec(), config.deadlines);
 
-    // Drive the session: joins and leaves are serialized, as laptops were
-    // brought online/offline one at a time. Each event is retransmitted
-    // up to `event_attempts` times before the harness gives up.
-    let mut present = vec![false; n_users];
-    let mut unresponsive = vec![false; n_users];
-    let mut initial_attach: Vec<Option<usize>> = vec![None; n_users];
-    let mut harness_retries = 0usize;
+    // Physical association state shared by all agents (the "air").
+    let physical: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; n_users]));
+    let (to_cc_tx, to_cc) = channel::<ToController>();
+    let mut agent_handles = Vec::with_capacity(n_users);
+    let mut agents: Vec<Sender<AgentInbox>> = Vec::with_capacity(n_users);
+    for i in 0..n_users {
+        // One inbox per agent: the session loop serializes harness
+        // commands and directives, so a single merged queue replaces a
+        // two-channel select without reordering anything.
+        let (agent_tx, agent_rx) = channel::<AgentInbox>();
+        agents.push(agent_tx);
+        let agent = AgentState::new(scenario, i);
+        let physical = Arc::clone(&physical);
+        let to_cc = to_cc_tx.clone();
+        let plan = Arc::clone(&plan);
+        agent_handles.push(thread::spawn(move || {
+            client_agent(agent, physical, to_cc, agent_rx, plan)
+        }));
+    }
 
-    for (idx, &event) in events.iter().enumerate() {
-        let epoch = idx as u64;
-        let (i, is_join) = match event {
-            SessionEvent::Join(i) => (i, true),
-            SessionEvent::Leave(i) => (i, false),
-        };
-        if i < n_users && unresponsive[i] {
-            // A client whose earlier event never completed is out of the
-            // session: later events for it are skipped, not errors.
-            continue;
-        }
-        let valid = i < n_users && if is_join { !present[i] } else { present[i] };
-        if !valid {
-            return Err(TestbedError::InvalidConfig {
-                context: if is_join {
-                    "join of an out-of-range or already-present client"
-                } else {
-                    "leave of an out-of-range or absent client"
-                },
-            });
-        }
-
-        let mut completed = false;
-        let mut agent_gone = false;
-        'attempts: for attempt in 1..=deadlines.event_attempts {
-            if attempt > 1 {
-                harness_retries += 1;
-                obs::counter_inc("harness.retransmissions");
+    // The session loop: this thread is the Central Controller. Events
+    // are serialized, as laptops were brought online and offline one at
+    // a time.
+    let origin = Instant::now();
+    while let Some(mut step) = driver.begin(origin.elapsed())? {
+        let ended = loop {
+            let unreachable = deliver(step.sends, &agents, &plan, strict)?;
+            if let Some(ended) = step.ended {
+                break ended;
             }
-            let cmd = if is_join {
-                ToAgent::Join { epoch, attempt }
-            } else {
-                ToAgent::Leave { epoch, attempt }
+            let input = match unreachable {
+                Some(client) => Input::Unreachable(client),
+                // This thread holds a sender, so the channel never
+                // disconnects: a receive error is the deadline passing.
+                None => {
+                    let wait = step
+                        .deadline
+                        .unwrap_or_default()
+                        .saturating_sub(origin.elapsed());
+                    to_cc.recv_timeout(wait).map_or(Input::Tick, Input::Msg)
+                }
             };
-            if agent_txs[i].send(AgentInbox::Harness(cmd)).is_err() {
-                if plan.expects_agent_fault(i) {
-                    agent_gone = true;
-                    break 'attempts;
-                }
-                return Err(TestbedError::ChannelClosed { endpoint: "agent" });
-            }
-            let deadline = Instant::now() + deadlines.event;
-            loop {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match done_rx.recv_timeout(wait) {
-                    Ok(DoneEvent { epoch: e, result }) if e == epoch => {
-                        result?;
-                        completed = true;
-                        break 'attempts;
-                    }
-                    // Stale completion of an earlier retransmitted event.
-                    Ok(_) => continue,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(TestbedError::ChannelClosed {
-                            endpoint: "controller",
-                        })
-                    }
+            step = driver.handle(origin.elapsed(), input)?;
+        };
+        let i = ended.event.client();
+        match ended.outcome {
+            EventOutcome::Completed => {
+                if matches!(ended.event, SessionEvent::Join(_)) {
+                    driver.record_join(i, lock_physical(&physical)[i]);
                 }
             }
-        }
-
-        if completed {
-            if is_join {
-                present[i] = true;
-                if initial_attach[i].is_none() {
-                    initial_attach[i] = lock_physical(&physical)[i];
-                }
-            } else {
-                present[i] = false;
-            }
-        } else if agent_gone || plan.expects_agent_fault(i) {
             // Planned silence: a crashed agent's channel is gone (or its
-            // only report was dropped). Its join can never complete; a
-            // leave already happened physically or the radio is simply
-            // abandoned to the survivor mask.
-            if is_join {
-                unresponsive[i] = true;
-            } else {
-                present[i] = false;
+            // only report was dropped), a wedged one may never answer.
+            _ if plan.expects_agent_fault(i) => {}
+            EventOutcome::TimedOut => {
+                return Err(TestbedError::Timeout {
+                    waiting_for: format!("completion of event {} (client {i})", ended.epoch),
+                })
             }
-        } else {
-            return Err(TestbedError::Timeout {
-                waiting_for: format!("completion of event {epoch} (client {i})"),
-            });
+            EventOutcome::Unreachable => {
+                return Err(TestbedError::ChannelClosed { endpoint: "agent" })
+            }
         }
     }
 
-    // Shutdown: stop agents, close the CC inbox, join threads.
-    for tx in &agent_txs {
+    // Shutdown: stop agents and join their threads.
+    for tx in &agents {
         let _ = tx.send(AgentInbox::Harness(ToAgent::Shutdown));
     }
-    drop(to_cc_tx);
-    let cc = cc_handle.join().map_err(|_| TestbedError::ChannelClosed {
-        endpoint: "controller",
-    })?;
     for h in agent_handles {
         h.join()
             .map_err(|_| TestbedError::ChannelClosed { endpoint: "agent" })?;
@@ -501,134 +421,15 @@ pub fn run_faulty_session(
     // CC's view must agree with it exactly.
     let physical_assoc: Vec<Option<usize>> = lock_physical(&physical).clone();
     if strict {
-        debug_assert_eq!(physical_assoc, cc.association);
+        debug_assert_eq!(physical_assoc, driver.core().association());
     }
-
-    assemble_report(
+    driver.report(
         scenario,
         &physical_assoc,
-        SessionLedger {
-            policy_name: config.policy.name().to_string(),
-            present,
-            unresponsive,
-            initial_attach,
-            crashed: plan.crashed.clone(),
-            wedged: plan.wedged.clone(),
-            declared_dead: cc.declared_dead,
-            directives: cc.directives,
-            degraded_solves: cc.degraded_solves,
-            retries: cc.retries + harness_retries,
-        },
+        config.policy.name(),
+        &plan.crashed,
+        &plan.wedged,
     )
-}
-
-/// Everything a session driver observed, handed to [`assemble_report`]
-/// for evaluation. Both transports fill one: the in-process rig from its
-/// harness loop, the `wolt-daemon` from its TCP session loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionLedger {
-    /// Display name of the policy that ran.
-    pub policy_name: String,
-    /// Whether each client was present (joined, not departed) at the end.
-    pub present: Vec<bool>,
-    /// Whether each client's join/leave never completed within the retry
-    /// budget.
-    pub unresponsive: Vec<bool>,
-    /// Each client's first strongest-RSSI attachment, if it joined.
-    pub initial_attach: Vec<Option<usize>>,
-    /// Clients the fault plan crashed (empty for a fault-free transport).
-    pub crashed: Vec<usize>,
-    /// Clients the fault plan wedged (empty for a fault-free transport).
-    pub wedged: Vec<usize>,
-    /// Clients declared dead by the controller, any order.
-    pub declared_dead: Vec<usize>,
-    /// Distinct directives the controller issued.
-    pub directives: usize,
-    /// Solves that degraded to the previous association.
-    pub degraded_solves: usize,
-    /// Total retransmissions (timing-dependent).
-    pub retries: usize,
-}
-
-/// Evaluates a finished session on the scenario's TRUE capacities and
-/// assembles the [`SessionReport`]: survivor masking, aggregate and
-/// per-user throughput, Jain's index, and switch counting. Shared by the
-/// in-process rig and the networked daemon so both produce canonical
-/// reports from the identical code path.
-///
-/// # Errors
-///
-/// Propagates scenario/evaluation failures as [`TestbedError::Layer`].
-pub fn assemble_report(
-    scenario: &Scenario,
-    physical_assoc: &[Option<usize>],
-    ledger: SessionLedger,
-) -> Result<SessionReport, TestbedError> {
-    let n_users = scenario.user_positions.len();
-    // Only survivors carry traffic: present, responsive, and not faulted
-    // by the plan. Everything else is masked out of the evaluation (a
-    // crashed laptop's abandoned radio association moves no data).
-    let survivor = |i: usize| {
-        ledger.present[i]
-            && !ledger.unresponsive[i]
-            && !ledger.crashed.contains(&i)
-            && !ledger.wedged.contains(&i)
-    };
-    let masked: Vec<Option<usize>> = (0..n_users)
-        .map(|i| if survivor(i) { physical_assoc[i] } else { None })
-        .collect();
-    let association = Association::from_targets(masked);
-
-    // Evaluate on the TRUE capacities.
-    let network = scenario.network().map_err(TestbedError::from)?;
-    let eval = evaluate(&network, &association).map_err(TestbedError::from)?;
-
-    // A "switch" is a departure from the default RSSI attachment — the
-    // re-association overhead the paper discusses.
-    let switches = (0..n_users)
-        .filter(|&i| {
-            survivor(i)
-                && ledger.initial_attach[i].is_some()
-                && association.target(i) != ledger.initial_attach[i]
-        })
-        .count();
-
-    let survivor_throughputs: Vec<Mbps> = (0..n_users)
-        .filter(|&i| survivor(i))
-        .map(|i| eval.per_user[i])
-        .collect();
-
-    let outcome = TopologyOutcome {
-        policy: ledger.policy_name,
-        aggregate: eval.aggregate.value(),
-        per_user: eval.per_user.iter().map(|t| t.value()).collect(),
-        jain: wolt_core::fairness::jain_index(&survivor_throughputs),
-        association,
-        directives: ledger.directives,
-        switches,
-    };
-
-    let survivors: Vec<usize> = (0..n_users).filter(|&i| survivor(i)).collect();
-    let mut declared_dead = ledger.declared_dead;
-    declared_dead.sort_unstable();
-    declared_dead.dedup();
-    let mut crashed = ledger.crashed;
-    crashed.sort_unstable();
-    crashed.dedup();
-    let mut wedged = ledger.wedged;
-    wedged.sort_unstable();
-    wedged.dedup();
-
-    Ok(SessionReport {
-        outcome,
-        survivors,
-        crashed,
-        wedged,
-        declared_dead,
-        unresponsive: (0..n_users).filter(|&i| ledger.unresponsive[i]).collect(),
-        degraded_solves: ledger.degraded_solves,
-        retries: ledger.retries,
-    })
 }
 
 /// Locks the shared physical-association state, recovering from a
@@ -643,265 +444,59 @@ fn lock_physical(m: &Mutex<Vec<Option<usize>>>) -> MutexGuard<'_, Vec<Option<usi
 /// Everything a client-agent thread can receive, merged into one queue:
 /// harness lifecycle commands and CC directives.
 enum AgentInbox {
-    /// Join/Leave/Shutdown from the session driver.
+    /// Join/Leave/Shutdown from the session loop.
     Harness(ToAgent),
     /// Directive (or shutdown) from the Central Controller.
     Cc(ToClient),
 }
 
-/// Completion notice for one harness event, tagged with its epoch so the
-/// harness can discard stale notices from retransmitted events.
-struct DoneEvent {
-    epoch: u64,
-    result: Result<(), TestbedError>,
-}
-
-/// Immutable transport-side controller context. Planning state lives in
-/// [`ControllerCore`]; this is only what the channel loop itself needs.
-struct ControllerCtx {
-    deadlines: Deadlines,
-    plan: Arc<FaultPlan>,
+/// Delivers the driver's sends over the agents' inboxes, replaying the
+/// plan's CC → client faults (its delay is served by the receiving
+/// agent, so this thread never blocks on an in-flight directive).
+/// Returns the client whose command found its inbox closed. A closed
+/// inbox under a directive is a crashed agent, indistinguishable from a
+/// lost directive, so in resilient mode the ack deadlines handle both.
+fn deliver(
+    sends: Vec<Outbound>,
+    agents: &[Sender<AgentInbox>],
+    plan: &FaultPlan,
     strict: bool,
-}
-
-/// What the controller learned, returned at shutdown.
-struct ControllerReturn {
-    directives: usize,
-    retries: usize,
-    degraded_solves: usize,
-    declared_dead: Vec<usize>,
-    association: Vec<Option<usize>>,
-}
-
-/// A directive awaiting its ack.
-struct PendingDirective {
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
-    deadline: Instant,
-}
-
-/// The Central Controller loop: dedup incoming events by epoch, hand each
-/// genuine event to the [`ControllerCore`] for planning, run one directive
-/// transaction per event, absorb late acks in between.
-fn controller(
-    ctx: ControllerCtx,
-    mut core: ControllerCore,
-    rx: Receiver<ToController>,
-    client_txs: Vec<Sender<AgentInbox>>,
-    done: Sender<DoneEvent>,
-) -> ControllerReturn {
-    let mut retries = 0usize;
-    loop {
-        let msg = match rx.recv_timeout(ctx.deadlines.idle) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            ToController::Report {
+) -> Result<Option<usize>, TestbedError> {
+    let mut unreachable = None;
+    for send in sends {
+        match send {
+            Outbound::Command { client, cmd } => {
+                if agents[client].send(AgentInbox::Harness(cmd)).is_err() {
+                    unreachable = Some(client);
+                }
+            }
+            Outbound::Directive {
                 client,
-                epoch,
-                rates,
-                attached,
-            } => {
-                if core.is_duplicate(epoch) {
-                    continue;
-                }
-                let result = core
-                    .handle_report(client, epoch, &rates, attached)
-                    .and_then(|directives| {
-                        run_transaction(
-                            &mut core,
-                            &ctx,
-                            &mut retries,
-                            directives,
-                            epoch,
-                            &rx,
-                            &client_txs,
-                        )
-                    });
-                if done.send(DoneEvent { epoch, result }).is_err() {
-                    break;
-                }
-            }
-            ToController::Departed { client, epoch } => {
-                if core.is_duplicate(epoch) {
-                    continue;
-                }
-                // WOLT re-optimizes the survivors; the baselines plan
-                // nothing, so the transaction completes immediately.
-                let result = core.handle_departed(client, epoch).and_then(|directives| {
-                    run_transaction(
-                        &mut core,
-                        &ctx,
-                        &mut retries,
-                        directives,
-                        epoch,
-                        &rx,
-                        &client_txs,
-                    )
-                });
-                if done.send(DoneEvent { epoch, result }).is_err() {
-                    break;
-                }
-            }
-            ToController::Ack {
-                client,
-                seq,
-                extender,
-            } => {
-                // A late ack (post-transaction retransmission) refreshes
-                // the CC view iff it matches the newest directive.
-                core.handle_ack(client, seq, extender);
-            }
-        }
-    }
-    ControllerReturn {
-        directives: core.directives(),
-        retries,
-        degraded_solves: core.degraded_solves(),
-        declared_dead: core.declared_dead().to_vec(),
-        association: core.association().to_vec(),
-    }
-}
-
-/// Adds freshly planned directives to the pending set (superseding any
-/// in-flight directive for the same client) and performs their first
-/// transmission through the fault layer.
-fn enqueue_directives(
-    ctx: &ControllerCtx,
-    client_txs: &[Sender<AgentInbox>],
-    pending: &mut Vec<PendingDirective>,
-    directives: Vec<Directive>,
-) -> Result<(), TestbedError> {
-    for dir in directives {
-        pending.retain(|p| p.client != dir.client);
-        pending.push(PendingDirective {
-            client: dir.client,
-            extender: dir.extender,
-            seq: dir.seq,
-            attempt: 1,
-            deadline: Instant::now() + ctx.deadlines.backoff(1),
-        });
-        send_directive(ctx, client_txs, dir.client, dir.extender, dir.seq, 1)?;
-    }
-    Ok(())
-}
-
-/// One directive transaction: issue the planned directives, then
-/// retransmit with backoff until every pending directive is acked or its
-/// client is declared dead (which triggers a survivor replan).
-fn run_transaction(
-    core: &mut ControllerCore,
-    ctx: &ControllerCtx,
-    retries: &mut usize,
-    directives: Vec<Directive>,
-    epoch: u64,
-    rx: &Receiver<ToController>,
-    client_txs: &[Sender<AgentInbox>],
-) -> Result<(), TestbedError> {
-    let mut pending: Vec<PendingDirective> = Vec::new();
-    enqueue_directives(ctx, client_txs, &mut pending, directives)?;
-    while !pending.is_empty() {
-        let now = Instant::now();
-        // Sweep expired directives: retry with backoff, or declare the
-        // client dead after the retry budget and replan the survivors.
-        let mut d = 0;
-        while d < pending.len() {
-            if pending[d].deadline > now {
-                d += 1;
-                continue;
-            }
-            obs::counter_inc("cc.ack_timeouts");
-            if pending[d].attempt >= ctx.deadlines.ack_attempts {
-                let casualty = pending.remove(d).client;
-                // The dead client's load vanishes: re-optimize the
-                // survivors (may supersede other in-flight directives).
-                let replan = core.declare_dead(casualty)?;
-                enqueue_directives(ctx, client_txs, &mut pending, replan)?;
-                d = 0;
-            } else {
-                let p = &mut pending[d];
-                p.attempt += 1;
-                *retries += 1;
-                obs::counter_inc("cc.retransmissions");
-                p.deadline = now + ctx.deadlines.backoff(p.attempt);
-                send_directive(ctx, client_txs, p.client, p.extender, p.seq, p.attempt)?;
-                d += 1;
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        let next = pending
-            .iter()
-            .map(|p| p.deadline)
-            .min()
-            .expect("pending is non-empty");
-        let wait = next.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(wait) {
-            Ok(ToController::Ack {
-                client,
-                seq,
-                extender,
-            }) => {
-                if core.handle_ack(client, seq, extender) {
-                    pending.retain(|p| !(p.client == client && p.seq == seq));
-                }
-            }
-            Ok(ToController::Report { epoch: e, .. })
-            | Ok(ToController::Departed { epoch: e, .. }) => {
-                // Retransmissions and duplicates of the current (or an
-                // older) event are expected under faults; a genuinely new
-                // event mid-transaction means serialization broke.
-                if e > epoch {
-                    return Err(TestbedError::AssignmentFailed {
-                        context: "unexpected message during directive transaction".to_string(),
-                    });
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(TestbedError::ChannelClosed { endpoint: "client" })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Sends one directive transmission through the fault layer. A closed
-/// inbox is a crashed agent — indistinguishable from a lost directive, so
-/// in resilient mode the ack-deadline machinery handles both uniformly.
-fn send_directive(
-    ctx: &ControllerCtx,
-    client_txs: &[Sender<AgentInbox>],
-    client: usize,
-    extender: usize,
-    seq: u64,
-    attempt: u32,
-) -> Result<(), TestbedError> {
-    let decision = ctx
-        .plan
-        .decide(Link::ToClient, MessageKey::directive(client, seq, attempt));
-    if decision.drop {
-        return Ok(());
-    }
-    let copies = if decision.duplicate { 2 } else { 1 };
-    for _ in 0..copies {
-        let sent = client_txs[client]
-            .send(AgentInbox::Cc(ToClient::Directive {
                 extender,
                 seq,
                 attempt,
-            }))
-            .is_ok();
-        if !sent && ctx.strict {
-            return Err(TestbedError::ChannelClosed { endpoint: "client" });
+            } => {
+                let decision =
+                    plan.decide(Link::ToClient, MessageKey::directive(client, seq, attempt));
+                let copies = if decision.drop {
+                    0
+                } else {
+                    1 + usize::from(decision.duplicate)
+                };
+                for _ in 0..copies {
+                    let msg = AgentInbox::Cc(ToClient::Directive {
+                        extender,
+                        seq,
+                        attempt,
+                    });
+                    if agents[client].send(msg).is_err() && strict {
+                        return Err(TestbedError::ChannelClosed { endpoint: "client" });
+                    }
+                }
+            }
         }
     }
-    Ok(())
+    Ok(unreachable)
 }
 
 /// Applies the plan's decision for `key` to one client → CC transmission
@@ -926,88 +521,29 @@ fn faulty_send(
     to_cc.send(msg).is_ok()
 }
 
-/// The client-agent loop: handle harness commands (join/leave/shutdown)
-/// and CC directives concurrently, replaying the fault plan's decisions
-/// for every transmission.
+/// The client-agent thread: [`AgentState`] behind an inbox, replaying
+/// the fault plan's decisions for every transmission and writing each
+/// change of attachment to the shared air.
 fn client_agent(
-    id: usize,
-    rates: Vec<Option<Mbps>>,
+    mut agent: AgentState,
     physical: Arc<Mutex<Vec<Option<usize>>>>,
     to_cc: Sender<ToController>,
     inbox: Receiver<AgentInbox>,
     plan: Arc<FaultPlan>,
 ) {
+    let id = agent.client();
     let crashes = plan.crashed.contains(&id);
     let wedged = plan.wedged.contains(&id);
-    let mut joined = false;
-    let mut attached = 0usize;
-    let mut last_applied: Option<u64> = None;
-    loop {
-        let msg = match inbox.recv() {
-            Ok(msg) => msg,
-            Err(_) => return,
-        };
-        match msg {
-            AgentInbox::Harness(ToAgent::Join { epoch, attempt }) => {
-                if !joined {
-                    // Scan: strongest signal = highest achievable rate
-                    // (monotone table); ties break toward the lowest
-                    // extender index, matching the offline RSSI baseline.
-                    let mut best = 0usize;
-                    let mut best_rate = f64::NEG_INFINITY;
-                    for (j, r) in rates.iter().enumerate() {
-                        if let Some(m) = r {
-                            if m.value() > best_rate {
-                                best_rate = m.value();
-                                best = j;
-                            }
-                        }
-                    }
-                    attached = best;
-                    lock_physical(&physical)[id] = Some(attached);
-                    joined = true;
-                    last_applied = None;
-                }
-                // Retransmitted joins re-send the report without
-                // re-scanning, so an applied directive is never clobbered.
-                let delivered = faulty_send(
-                    &plan,
-                    MessageKey::report(id, epoch, attempt),
-                    &to_cc,
-                    ToController::Report {
-                        client: id,
-                        epoch,
-                        rates: rates.clone(),
-                        attached,
-                    },
-                );
-                if !delivered {
-                    return;
-                }
-                if crashes {
-                    // Planned crash: exit silently right after the first
-                    // scan report, leaving the radio attached and the CC
-                    // uninformed. No Departed, no acks, channel closed.
-                    return;
-                }
+    while let Ok(msg) = inbox.recv() {
+        let (reply, key) = match msg {
+            AgentInbox::Harness(cmd) => {
+                let key = match cmd {
+                    ToAgent::Join { epoch, attempt } => MessageKey::report(id, epoch, attempt),
+                    ToAgent::Leave { epoch, attempt } => MessageKey::departed(id, epoch, attempt),
+                    ToAgent::Shutdown => return,
+                };
+                (agent.command(&cmd), key)
             }
-            AgentInbox::Harness(ToAgent::Leave { epoch, attempt }) => {
-                if joined {
-                    lock_physical(&physical)[id] = None;
-                    joined = false;
-                }
-                // Always (re-)notify: the CC dedups by epoch.
-                let delivered = faulty_send(
-                    &plan,
-                    MessageKey::departed(id, epoch, attempt),
-                    &to_cc,
-                    ToController::Departed { client: id, epoch },
-                );
-                if !delivered {
-                    return;
-                }
-            }
-            AgentInbox::Harness(ToAgent::Shutdown) | AgentInbox::Cc(ToClient::Shutdown) => return,
             AgentInbox::Cc(ToClient::Directive {
                 extender,
                 seq,
@@ -1018,39 +554,28 @@ fn client_agent(
                     // applies or acknowledges a directive.
                     continue;
                 }
-                // The CC → client delay is served receiver-side so the CC
-                // thread never blocks on an in-flight directive.
-                let decision = plan.decide(Link::ToClient, MessageKey::directive(id, seq, attempt));
-                if !decision.delay.is_zero() {
-                    thread::sleep(decision.delay);
+                let key = MessageKey::directive(id, seq, attempt);
+                let delay = plan.decide(Link::ToClient, key).delay;
+                if !delay.is_zero() {
+                    thread::sleep(delay);
                 }
-                // A directive can race a departure at shutdown; only a
-                // joined client applies it.
-                if !joined {
-                    continue;
-                }
-                if last_applied.is_none_or(|s| seq > s) {
-                    attached = extender;
-                    lock_physical(&physical)[id] = Some(extender);
-                    last_applied = Some(seq);
-                }
-                // Ack every received transmission (idempotent at the CC);
-                // report the *current* attachment, which for the newest
-                // sequence is the directive's target.
-                let delivered = faulty_send(
-                    &plan,
+                (
+                    agent.directive(extender, seq),
                     MessageKey::ack(id, seq, attempt),
-                    &to_cc,
-                    ToController::Ack {
-                        client: id,
-                        seq,
-                        extender: attached,
-                    },
-                );
-                if !delivered {
-                    return;
-                }
+                )
             }
+            AgentInbox::Cc(ToClient::Shutdown) => return,
+        };
+        let Some(reply) = reply else {
+            continue;
+        };
+        lock_physical(&physical)[id] = agent.attached();
+        let report = matches!(reply, ToController::Report { .. });
+        // Planned crash: exit silently right after the first scan
+        // report, leaving the radio attached and the CC uninformed. No
+        // Departed, no acks, channel closed.
+        if !faulty_send(&plan, key, &to_cc, reply) || (crashes && report) {
+            return;
         }
     }
 }
@@ -1060,8 +585,9 @@ mod tests {
     use super::*;
     use crate::faults::LinkFaults;
     use wolt_core::baselines::Greedy;
-    use wolt_core::AssociationPolicy;
+    use wolt_core::{evaluate, AssociationPolicy};
     use wolt_sim::scenario::ScenarioConfig;
+    use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 
     fn lab_scenario(seed: u64) -> Scenario {
         let cfg = ScenarioConfig::lab(7);
