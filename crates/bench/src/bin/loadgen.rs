@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 use wolt_bench::{columns, f2, header, measured, percentile_sorted, row};
 use wolt_daemon::{
     run_agent, run_site_agent, wire, AgentRetry, Daemon, DaemonConfig, DaemonOutcome, Envelope,
+    Fleet, SiteDef,
 };
-use wolt_fleet::{Fleet, FleetConfig, SiteDef};
 use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::json::{Json, ToJson};
@@ -487,7 +487,7 @@ fn fleet_probe(users: usize, cycles: usize) -> FleetProbe {
         .map(|d| (d.id.clone(), d.scenario.clone()))
         .collect();
     let fleet =
-        Fleet::bind("127.0.0.1:0", defs, FleetConfig::default()).expect("fleet loopback bind");
+        Fleet::bind("127.0.0.1:0", defs, DaemonConfig::default()).expect("fleet loopback bind");
     let addr = fleet.local_addr().expect("bound address");
     let agents: Vec<_> = scenarios
         .iter()

@@ -330,7 +330,7 @@ fn spawn_serve(
         .arg("--seed")
         .arg(opts.seed.to_string())
         .arg("--policy")
-        .arg(policy_name(opts.policy))
+        .arg(opts.policy.key())
         .arg("--noise-seed")
         .arg(opts.noise_seed.to_string())
         .arg("--snapshot")
@@ -396,15 +396,6 @@ fn read_counter(metrics_file: &Path, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The `--policy` spelling `wolt serve` accepts for each controller.
-fn policy_name(policy: ControllerPolicy) -> &'static str {
-    match policy {
-        ControllerPolicy::Wolt => "wolt",
-        ControllerPolicy::Greedy => "greedy",
-        ControllerPolicy::Rssi => "rssi",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,9 +431,9 @@ mod tests {
             ControllerPolicy::Greedy,
             ControllerPolicy::Rssi,
         ] {
-            let name = policy_name(policy);
+            let name = policy.key();
             let parsed = crate::service::parse_controller_policy(name).unwrap();
-            assert_eq!(policy_name(parsed), name);
+            assert_eq!(parsed.key(), name);
         }
     }
 }

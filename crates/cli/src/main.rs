@@ -9,6 +9,7 @@
 //! wolt metrics  --addr 127.0.0.1:4800
 //! ```
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wolt_cli::args::ParsedArgs;
@@ -17,7 +18,7 @@ use wolt_cli::commands::{
     compare_with_threads, generate, solve_explained_with_threads, solve_with_threads, PolicyChoice,
     PresetChoice,
 };
-use wolt_cli::service::{self, FleetServeOptions, ServeOptions};
+use wolt_cli::service::{self, ServeOptions};
 use wolt_cli::spec::NetworkSpec;
 use wolt_cli::CliError;
 use wolt_daemon::wire::{FleetOp, SiteSpec};
@@ -71,10 +72,12 @@ its own controller session behind the one address, stepped on --shards
 threads (default WOLT_THREADS). Agents pick their segment with
 `agent --site ID` (the spec's per-site preset/users/seed must match the
 agent's flags). --snapshot becomes the fleet root: each site persists
-under <DIR>/<ID>/. The fleet verbs drive a live fleet over the wire:
-status lists every site, drain stops routing new agents to a site and
-lets it finish and persist, remove additionally forgets it, add boots a
-new site without restarting the daemon.";
+under <DIR>/<ID>/. Without --sites, serve is the same server hosting one
+anonymous site \"\" that keeps its store directly in --snapshot. The
+fleet verbs drive a live server over the wire: status lists every site,
+drain stops routing new agents to a site and lets it finish and
+persist, remove additionally forgets it, add boots a new site without
+restarting the daemon (a server without --sites refuses add).";
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1)) {
@@ -152,38 +155,29 @@ fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
             }
             Ok(())
         }
-        "serve" if parsed.get("sites").is_some() => {
-            for single_only in ["users", "preset", "seed", "policy", "noise-seed"] {
-                if parsed.get(single_only).is_some() {
-                    return Err(CliError::Usage {
-                        message: format!(
-                            "--sites and --{single_only} do not combine; per-site settings \
-                             live in the spec file"
-                        ),
-                    });
+        "serve" => {
+            let sites = parsed.get("sites").map(PathBuf::from);
+            if sites.is_some() {
+                for single_only in ["users", "preset", "seed", "policy", "noise-seed"] {
+                    if parsed.get(single_only).is_some() {
+                        return Err(CliError::Usage {
+                            message: format!(
+                                "--sites and --{single_only} do not combine; per-site settings \
+                                 live in the spec file"
+                            ),
+                        });
+                    }
                 }
             }
-            let opts = FleetServeOptions {
-                addr: parsed.require("addr")?.to_string(),
-                sites: parsed.require("sites")?.into(),
-                shards: parsed.get_parsed_or("shards", 0usize)?,
-                snapshot: parsed.get("snapshot").map(Into::into),
-                addr_file: parsed.get("addr-file").map(Into::into),
-                metrics_out: parsed.get("metrics-out").map(Into::into),
-                linger: std::time::Duration::from_millis(parsed.get_parsed_or("linger-ms", 0u64)?),
-            };
-            let text = service::serve_fleet(&opts)?;
-            emit(&text, parsed.get("output"))?;
-            Ok(())
-        }
-        "serve" => {
             let opts = ServeOptions {
                 addr: parsed.require("addr")?.to_string(),
+                sites,
                 preset: PresetChoice::parse(parsed.get("preset").unwrap_or("lab"))?,
                 users: parsed.get_parsed_or("users", 7usize)?,
                 seed: parsed.get_parsed_or("seed", 0u64)?,
                 policy: service::parse_controller_policy(parsed.get("policy").unwrap_or("wolt"))?,
                 noise_seed: parsed.get_parsed_or("noise-seed", 0u64)?,
+                shards: parsed.get_parsed_or("shards", 0usize)?,
                 snapshot: parsed.get("snapshot").map(Into::into),
                 addr_file: parsed.get("addr-file").map(Into::into),
                 metrics_out: parsed.get("metrics-out").map(Into::into),

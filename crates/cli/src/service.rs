@@ -11,8 +11,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use wolt_daemon::wire::FleetOp;
-use wolt_daemon::{run_agent_burst, wire, AgentRetry, Daemon, DaemonConfig, Envelope};
-use wolt_fleet::{Fleet, FleetConfig, FleetSpec};
+use wolt_daemon::{
+    run_agent_burst, wire, AgentRetry, DaemonConfig, DaemonError, DaemonOutcome, Envelope, Fleet,
+    FleetSpec, SiteDef,
+};
 use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::json::{Json, ToJson};
@@ -30,14 +32,12 @@ use crate::CliError;
 ///
 /// Returns [`CliError::Usage`] listing the accepted names.
 pub fn parse_controller_policy(name: &str) -> Result<ControllerPolicy, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "wolt" => Ok(ControllerPolicy::Wolt),
-        "greedy" => Ok(ControllerPolicy::Greedy),
-        "rssi" => Ok(ControllerPolicy::Rssi),
-        other => Err(CliError::Usage {
-            message: format!("unknown controller policy {other:?} (try wolt | greedy | rssi)"),
-        }),
-    }
+    ControllerPolicy::from_key(name).ok_or_else(|| CliError::Usage {
+        message: format!(
+            "unknown controller policy {:?} (try wolt | greedy | rssi)",
+            name.to_ascii_lowercase()
+        ),
+    })
 }
 
 /// Regenerates the scenario both `serve` and `agent` run against.
@@ -59,6 +59,9 @@ pub fn scenario_for(preset: PresetChoice, users: usize, seed: u64) -> Result<Sce
 pub struct ServeOptions {
     /// Address to bind (`127.0.0.1:0` picks a free port).
     pub addr: String,
+    /// Fleet spec file (`{"sites": [...]}`); `None` serves one anonymous
+    /// site built from the flags below.
+    pub sites: Option<PathBuf>,
     /// Scenario preset shared with the agents.
     pub preset: PresetChoice,
     /// Number of users (= expected agents).
@@ -69,129 +72,91 @@ pub struct ServeOptions {
     pub policy: ControllerPolicy,
     /// Seed for the capacity-estimation noise.
     pub noise_seed: u64,
-    /// Snapshot store directory for crash/restart resume (the daemon
-    /// keeps a window of checksummed generations inside it).
+    /// Most shard threads (`0` resolves like `--threads`: `WOLT_THREADS`,
+    /// then the machine's parallelism).
+    pub shards: usize,
+    /// Snapshot root for crash/restart resume: the anonymous site keeps
+    /// its generations directly inside it, a named site under
+    /// `<root>/<id>/`.
     pub snapshot: Option<PathBuf>,
     /// File to write the bound address to, for scripts that pass port 0.
     pub addr_file: Option<PathBuf>,
     /// File to dump the final metrics snapshot to (atomic write) once the
-    /// session ends.
+    /// server ends.
     pub metrics_out: Option<PathBuf>,
-    /// How long the daemon keeps serving metrics queries after the last
-    /// event, before dismissing agents.
+    /// How long the server keeps serving metrics queries after the last
+    /// site's last event, before dismissing its agents.
     pub linger: Duration,
 }
 
-/// Boots the daemon, runs one session where every user joins in index
-/// order, and returns the session report as pretty JSON.
+/// Boots the server, runs every site to completion (or drain/stop), and
+/// returns the result as pretty JSON. Without `--sites` the one
+/// anonymous site is a session in which every user joins in index order,
+/// printed as `{completed, epochs_done, msgs_in, canonical}`; with it,
+/// each site prints the same object (or `{error}`) under
+/// `{"sites": {id: …}}`.
 ///
 /// # Errors
 ///
 /// [`CliError::Net`] when the address cannot be bound (e.g. the port is
-/// already taken) or the session fails on the wire; [`CliError::Io`] for
-/// snapshot/addr-file filesystem failures.
+/// already taken) or the single-site session fails on the wire;
+/// [`CliError::Io`] for spec, snapshot and addr-file filesystem failures;
+/// [`CliError::Library`] for an invalid spec (per-site *session* failures
+/// of a `--sites` run land in the JSON instead).
 pub fn serve(opts: &ServeOptions) -> Result<String, CliError> {
-    let scenario = scenario_for(opts.preset, opts.users, opts.seed)?;
-    let events: Vec<SessionEvent> = (0..opts.users).map(SessionEvent::Join).collect();
     let mut config = DaemonConfig::new(opts.policy);
     config.noise_seed = opts.noise_seed;
     config.snapshot_dir = opts.snapshot.clone();
     config.linger = opts.linger;
-    let daemon = Daemon::bind(opts.addr.as_str(), scenario, events, config)?;
-    let bound = daemon.local_addr()?;
-    if let Some(path) = &opts.addr_file {
-        std::fs::write(path, format!("{bound}\n"))?;
-    }
-    eprintln!(
-        "wolt-daemon listening on {bound} ({} agents expected)",
-        opts.users
-    );
-    let outcome = daemon.run()?;
-    if let Some(path) = &opts.metrics_out {
-        write_atomic(path, &obs::snapshot().to_json().to_pretty())?;
-        eprintln!("wrote metrics to {}", path.display());
-    }
-    let json = Json::obj(vec![
-        ("completed", outcome.completed.to_json()),
-        ("epochs_done", outcome.epochs_done.to_json()),
-        ("msgs_in", outcome.stats.msgs_in.to_json()),
-        ("canonical", outcome.report.canonical().to_json()),
-    ]);
-    Ok(json.to_pretty())
-}
-
-/// Everything `wolt serve --sites` needs, parsed off the command line.
-#[derive(Debug, Clone)]
-pub struct FleetServeOptions {
-    /// Address to bind (`127.0.0.1:0` picks a free port).
-    pub addr: String,
-    /// Path to the fleet spec file (`{"sites": [...]}`).
-    pub sites: PathBuf,
-    /// Shard threads (`0` resolves like `--threads`: `WOLT_THREADS`,
-    /// then the machine's parallelism).
-    pub shards: usize,
-    /// Fleet snapshot root; each site persists under `<root>/<id>/`.
-    pub snapshot: Option<PathBuf>,
-    /// File to write the bound address to, for scripts that pass port 0.
-    pub addr_file: Option<PathBuf>,
-    /// File to dump the final metrics snapshot to once the fleet ends.
-    pub metrics_out: Option<PathBuf>,
-    /// Listener grace period after the last site finishes.
-    pub linger: Duration,
-}
-
-/// Boots a multi-site fleet from a spec file, runs every site to
-/// completion (or drain), and returns per-site results as pretty JSON:
-/// `{"sites": {id: {completed, epochs_done, canonical} | {error}}}`.
-///
-/// # Errors
-///
-/// [`CliError::Io`] when the spec file cannot be read;
-/// [`CliError::Net`]/[`CliError::Library`] for bind and startup
-/// failures (per-site *session* failures land in the JSON instead).
-pub fn serve_fleet(opts: &FleetServeOptions) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(&opts.sites)?;
-    let spec = FleetSpec::parse(&text)?;
-    let defs = spec.materialize()?;
-    let n_sites = defs.len();
-    let config = FleetConfig {
-        shards: opts.shards,
-        snapshot_root: opts.snapshot.clone(),
-        linger: opts.linger,
-        ..FleetConfig::default()
+    config.shards = opts.shards;
+    let defs = match &opts.sites {
+        Some(path) => FleetSpec::parse(&std::fs::read_to_string(path)?)?.materialize()?,
+        None => {
+            let scenario = scenario_for(opts.preset, opts.users, opts.seed)?;
+            let events = (0..opts.users).map(SessionEvent::Join).collect();
+            vec![SiteDef::anonymous(scenario, events, &config)]
+        }
     };
+    let n_sites = defs.len();
+    let n_agents: usize = defs.iter().map(|d| d.scenario.user_positions.len()).sum();
     let fleet = Fleet::bind(opts.addr.as_str(), defs, config)?;
     let bound = fleet.local_addr()?;
     if let Some(path) = &opts.addr_file {
         std::fs::write(path, format!("{bound}\n"))?;
     }
-    eprintln!("wolt-fleet listening on {bound} ({n_sites} sites)");
-    let outcome = fleet.run()?;
+    eprintln!("wolt-daemon listening on {bound} ({n_sites} site(s), {n_agents} agents expected)");
+    let mut outcome = fleet.run()?;
     if let Some(path) = &opts.metrics_out {
         write_atomic(path, &obs::snapshot().to_json().to_pretty())?;
         eprintln!("wrote metrics to {}", path.display());
     }
-    let sites: Vec<(String, Json)> = outcome
-        .sites
-        .iter()
-        .map(|(id, result)| {
-            let body = match result {
-                Ok(o) => Json::obj(vec![
-                    ("completed", o.completed.to_json()),
-                    ("epochs_done", o.epochs_done.to_json()),
-                    ("canonical", o.report.canonical().to_json()),
-                ]),
-                Err(e) => Json::obj(vec![("error", e.to_string().to_json())]),
-            };
-            (id.clone(), body)
-        })
-        .collect();
-    let json = Json::obj(vec![("sites", Json::Obj(sites))]);
+    let site_json = |result: Result<DaemonOutcome, DaemonError>| match result {
+        Ok(o) => Json::obj(vec![
+            ("completed", o.completed.to_json()),
+            ("epochs_done", o.epochs_done.to_json()),
+            ("msgs_in", o.stats.msgs_in.to_json()),
+            ("canonical", o.report.canonical().to_json()),
+        ]),
+        Err(e) => Json::obj(vec![("error", e.to_string().to_json())]),
+    };
+    let json = match outcome.sites.remove("") {
+        Some(result) => site_json(Ok(result?)),
+        None => Json::obj(vec![(
+            "sites",
+            Json::Obj(
+                outcome
+                    .sites
+                    .into_iter()
+                    .map(|(id, result)| (id, site_json(result)))
+                    .collect(),
+            ),
+        )]),
+    };
     Ok(json.to_pretty())
 }
 
-/// Queries a running fleet's site registry and returns it as pretty
-/// JSON.
+/// Queries a running server's site registry and returns it as pretty
+/// JSON (a single-site server lists its anonymous site `""`).
 ///
 /// # Errors
 ///
@@ -331,11 +296,13 @@ mod tests {
     fn lab_opts(addr: &str) -> ServeOptions {
         ServeOptions {
             addr: addr.to_string(),
+            sites: None,
             preset: PresetChoice::Lab,
             users: 7,
             seed: 1,
             policy: ControllerPolicy::Wolt,
             noise_seed: 0,
+            shards: 0,
             snapshot: None,
             addr_file: None,
             metrics_out: None,

@@ -1,8 +1,5 @@
-//! The transport-agnostic session engine: one site's Central Controller
-//! session loop, factored out of [`crate::server::Daemon`] so it can be
-//! driven two ways — exclusively by one `Daemon` (the single-site
-//! server), or multiplexed with other sites' engines on a fleet shard
-//! (`wolt_fleet`).
+//! The session engine: one site's Central Controller session loop, as
+//! a state machine the server's shards step (see [`crate::server`]).
 //!
 //! The protocol itself is the shared [`SessionDriver`]: commands,
 //! directive transactions, retransmission, dead declarations and the
@@ -14,13 +11,13 @@
 //!
 //! [`SessionEngine::step`] runs one bounded unit of work — a short
 //! connect-wait poll, or one full session event (command, report,
-//! directive transaction, snapshot) — and returns. A fleet shard
-//! round-robins `step` across its sites; the single-site daemon just
-//! loops it. Because one engine is stepped by exactly one thread and
-//! every decision stays inside its own driver, the canonical report a
-//! site produces is byte-identical however many engines share the
-//! process — the fleet's headline invariant is structural, not
-//! coincidental: the single-site daemon *is* a one-engine fleet.
+//! directive transaction, snapshot) — and returns. A shard round-robins
+//! `step` across its sites; a single-site server is one shard with one
+//! site. Because one engine is stepped by exactly one thread and every
+//! decision stays inside its own driver, the canonical report a site
+//! produces is byte-identical however many engines share the process —
+//! the fleet's headline invariant is structural, not coincidental: the
+//! single-site daemon *is* a one-site fleet.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -36,13 +33,13 @@ use wolt_support::{crash_point, obs};
 use wolt_testbed::codec::ReadPatience;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
-    check_session, coalesce_frames, estimate_capacities, ControllerConfig, ControllerCore, Ended,
-    EventOutcome, Input, Outbound, ReportFrame, SessionDriver, SessionEvent, SessionProgress, Step,
-    TestbedError,
+    check_session, coalesce_frames, estimate_capacities, ControllerConfig, ControllerCore,
+    ControllerPolicy, Ended, EventOutcome, Input, Outbound, ReportFrame, SessionDriver,
+    SessionEvent, SessionProgress, Step, TestbedError,
 };
 
 use crate::inbox::{self, Inbox, InboxSender};
-use crate::server::{DaemonConfig, DaemonOutcome, DaemonStats};
+use crate::server::{DaemonConfig, DaemonOutcome, DaemonStats, SiteDef};
 use crate::snapshot::DaemonSnapshot;
 use crate::store::SnapshotStore;
 use crate::wire::{self, Envelope};
@@ -146,9 +143,11 @@ pub enum Incoming {
 /// What one [`SessionEngine::step`] accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineStep {
-    /// Still waiting for agents to connect; nothing to drive yet.
+    /// Not driving yet: agents are still connecting (or a stop arrived
+    /// before they all did, and the next step ends the session).
     Waiting,
-    /// Drove one unit of work (a registration, or one session event).
+    /// The session is running: every agent registered, and this step
+    /// started driving or drove one session event.
     Progressed,
     /// The session is over (completed or stopped): time to dismiss
     /// agents and call [`SessionEngine::finish`].
@@ -172,7 +171,9 @@ enum Phase {
 /// reap_strays… → finish`.
 pub struct SessionEngine {
     scenario: Scenario,
-    config: DaemonConfig,
+    policy: ControllerPolicy,
+    stop_after: Option<usize>,
+    connect_deadline: Duration,
     store: Option<SnapshotStore>,
     driver: SessionDriver,
     writers: Vec<Option<TcpStream>>,
@@ -184,6 +185,10 @@ pub struct SessionEngine {
     msgs_in: usize,
     latencies: Vec<Duration>,
     stop_reason: Option<String>,
+    /// When the engine left the connect wait.
+    drive_started: Option<Instant>,
+    /// Wall-clock time from `drive_started` to the end of the last
+    /// event.
     drive_elapsed: Duration,
     teardown_started: Option<Instant>,
     /// Per-site deterministic counters (`None` for the site-less
@@ -201,9 +206,10 @@ impl SessionEngine {
     /// no sender itself, so once every reader is gone the inbox
     /// disconnects and teardown can prove quiescence.
     ///
-    /// `site` is the empty string for the single-site daemon; a fleet
-    /// passes each site's id, which stamps the snapshot store and the
-    /// per-site metrics.
+    /// The site's id stamps its snapshot store and names its per-site
+    /// metrics. The anonymous site `""` of a single-site server keeps
+    /// its store directly in `snapshot_dir` and counts no per-site
+    /// metrics; a named site persists under `<snapshot_dir>/<id>/`.
     ///
     /// # Errors
     ///
@@ -212,20 +218,22 @@ impl SessionEngine {
     /// (or wrong-site) store; [`DaemonError::Protocol`] for a snapshot
     /// that does not match the scenario.
     pub fn new(
-        site: &str,
-        scenario: Scenario,
-        events: Vec<SessionEvent>,
-        config: DaemonConfig,
+        site: SiteDef,
+        config: &DaemonConfig,
     ) -> Result<(Self, InboxSender<Incoming>), DaemonError> {
+        let SiteDef {
+            id,
+            scenario,
+            events,
+            policy,
+            noise_seed,
+            stop_after,
+        } = site;
         check_session(&scenario, &config.deadlines)?;
         let n_users = scenario.user_positions.len();
         let core_config = ControllerConfig {
-            policy: config.policy,
-            estimated_capacities: estimate_capacities(
-                &scenario,
-                &config.estimator,
-                config.noise_seed,
-            )?,
+            policy,
+            estimated_capacities: estimate_capacities(&scenario, &config.estimator, noise_seed)?,
             strict: false,
         };
 
@@ -234,7 +242,14 @@ impl SessionEngine {
         // (every generation damaged, or stamped for another site)
         // errors out.
         let store = match &config.snapshot_dir {
-            Some(dir) => Some(SnapshotStore::open_site(dir, config.snapshot_keep, site)?),
+            Some(root) => {
+                let dir = if id.is_empty() {
+                    root.clone()
+                } else {
+                    root.join(&id)
+                };
+                Some(SnapshotStore::open_site(dir, config.snapshot_keep, &id)?)
+            }
             None => None,
         };
         let restored = match &store {
@@ -270,11 +285,13 @@ impl SessionEngine {
         let greeting: Arc<Vec<Option<usize>>> = Arc::new(driver.core().association().to_vec());
 
         let (tx, rx) = inbox::channel::<Incoming>(config.inbox_cap, incoming_sheddable);
-        let site_counter = |name| (!site.is_empty()).then(|| obs::site_counter(site, name));
+        let site_counter = |name| (!id.is_empty()).then(|| obs::site_counter(&id, name));
         Ok((
             Self {
                 scenario,
-                config,
+                policy,
+                stop_after,
+                connect_deadline: config.connect_deadline,
                 store,
                 driver,
                 writers: (0..n_users).map(|_| None).collect(),
@@ -285,6 +302,7 @@ impl SessionEngine {
                 msgs_in: 0,
                 latencies: Vec::new(),
                 stop_reason: None,
+                drive_started: None,
                 drive_elapsed: Duration::ZERO,
                 teardown_started: None,
                 ctr_epochs: site_counter("epochs"),
@@ -326,12 +344,7 @@ impl SessionEngine {
     pub fn step(&mut self) -> Result<EngineStep, DaemonError> {
         match self.phase {
             Phase::Waiting { deadline } => self.step_wait(deadline),
-            Phase::Driving => {
-                let t0 = Instant::now();
-                let result = self.step_drive();
-                self.drive_elapsed += t0.elapsed();
-                result
-            }
+            Phase::Driving => self.step_drive(),
             Phase::Done { .. } => Ok(EngineStep::Finished),
         }
     }
@@ -339,13 +352,12 @@ impl SessionEngine {
     /// One connect-wait poll: one bounded receive while registrations
     /// arrive.
     fn step_wait(&mut self, deadline: Option<Instant>) -> Result<EngineStep, DaemonError> {
-        let deadline = deadline.unwrap_or_else(|| Instant::now() + self.config.connect_deadline);
+        let deadline = deadline.unwrap_or_else(|| Instant::now() + self.connect_deadline);
         self.phase = Phase::Waiting {
             deadline: Some(deadline),
         };
         if !self.writers.iter().any(Option::is_none) {
-            self.start_driving();
-            return Ok(EngineStep::Progressed);
+            return Ok(self.start_driving());
         }
         let wait = deadline
             .saturating_duration_since(Instant::now())
@@ -353,10 +365,10 @@ impl SessionEngine {
         match self.rx.recv_timeout(wait) {
             Ok(Incoming::Register { client, writer }) => {
                 self.writers[client] = Some(writer);
-                if !self.writers.iter().any(Option::is_none) {
-                    self.start_driving();
+                if self.writers.iter().any(Option::is_none) {
+                    return Ok(EngineStep::Waiting);
                 }
-                Ok(EngineStep::Progressed)
+                Ok(self.start_driving())
             }
             Ok(Incoming::Gone { client }) => {
                 self.writers[client] = None;
@@ -369,7 +381,7 @@ impl SessionEngine {
                 // first event observes the stop reason and ends the run.
                 self.stop_reason = Some(reason);
                 self.start_driving();
-                Ok(EngineStep::Progressed)
+                Ok(EngineStep::Waiting)
             }
             Ok(Incoming::Msg(_)) => {
                 // Agents do not speak before their first command; drop
@@ -400,16 +412,20 @@ impl SessionEngine {
 
     /// Leaves the connect wait: for the driving phase, or straight for
     /// the end when a restored session already reached `stop_after`.
-    fn start_driving(&mut self) {
-        let reached = self
-            .config
-            .stop_after
-            .is_some_and(|k| self.epochs_done() >= k);
-        self.phase = if reached {
-            Phase::Done { stopped: true }
-        } else {
-            Phase::Driving
-        };
+    fn start_driving(&mut self) -> EngineStep {
+        self.drive_started = Some(Instant::now());
+        if self.stop_after.is_some_and(|k| self.epochs_done() >= k) {
+            return self.end(true);
+        }
+        self.phase = Phase::Driving;
+        EngineStep::Progressed
+    }
+
+    /// Ends the session, closing the driving span.
+    fn end(&mut self, stopped: bool) -> EngineStep {
+        self.phase = Phase::Done { stopped };
+        self.drive_elapsed = self.drive_started.map_or(Duration::ZERO, |t| t.elapsed());
+        EngineStep::Finished
     }
 
     /// Drives one session event (skipping over events of unresponsive
@@ -419,8 +435,7 @@ impl SessionEngine {
         let begun = self.driver.begin(self.origin.elapsed());
         self.count_epochs(before);
         let Some(step) = begun? else {
-            self.phase = Phase::Done { stopped: false };
-            return Ok(EngineStep::Finished);
+            return Ok(self.end(false));
         };
         let before = self.epochs_done();
         let ended = match self.stop_reason {
@@ -428,8 +443,7 @@ impl SessionEngine {
             None => self.drive_event(step)?,
         };
         let Some(ended) = ended else {
-            self.phase = Phase::Done { stopped: true };
-            return Ok(EngineStep::Finished);
+            return Ok(self.end(true));
         };
         if ended.outcome == EventOutcome::Completed {
             if let Some(c) = &self.ctr_solved {
@@ -465,9 +479,8 @@ impl SessionEngine {
             obs::observe_duration("daemon.snapshot_write_us", t0.elapsed());
             crash_point!(CRASH_POST_SNAPSHOT);
         }
-        if self.stop_reason.is_some() || self.config.stop_after == Some(self.epochs_done()) {
-            self.phase = Phase::Done { stopped: true };
-            return Ok(EngineStep::Finished);
+        if self.stop_reason.is_some() || self.stop_after == Some(self.epochs_done()) {
+            return Ok(self.end(true));
         }
         Ok(EngineStep::Progressed)
     }
@@ -658,7 +671,7 @@ impl SessionEngine {
         let report = self.driver.report(
             &self.scenario,
             self.driver.core().association(),
-            self.config.policy.name(),
+            self.policy.name(),
             &[],
             &[],
         )?;
@@ -700,8 +713,7 @@ pub enum HelloDecision {
 /// `route` maps a hello's `(client, site)` to a [`HelloDecision`];
 /// `control` handles every other pre-handshake envelope (operator stop,
 /// metrics and fleet queries) and returns whether to keep serving the
-/// connection. This one function is the accept path for both the
-/// single-site daemon and the fleet — only the two closures differ.
+/// connection.
 ///
 /// When `read_stall` is nonzero the socket read is *patient*: idling
 /// between frames is free (and ends cleanly once `stop` is set, so a

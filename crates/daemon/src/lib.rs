@@ -3,13 +3,28 @@
 //! The paper's §V-A architecture is a server ("the CC") that laptops
 //! talk to over the network. The in-process testbed
 //! ([`wolt_testbed::rig`]) emulates that with threads and channels; this
-//! crate runs it for real: a TCP [`server::Daemon`] speaking a
+//! crate runs it for real: one TCP server ([`server`]) speaking a
 //! length-prefixed JSON wire protocol ([`wire`]), an agent client
 //! ([`agent::run_agent`]) for the laptop side, and a crash-safe
 //! generational snapshot store ([`store::SnapshotStore`]) so a restarted
 //! — or killed — controller resumes mid-session without re-issuing
 //! directives, rolling back over torn writes to the newest generation
 //! that checksums clean.
+//!
+//! An enterprise deployment is rarely one PLC segment: each floor or
+//! wing is its own electrically-isolated powerline network. The server
+//! hosts any number of such **sites** behind one address — a
+//! [`Fleet`] — and the single-site [`Daemon`] is a fleet of one
+//! anonymous site. Agents declare their site in the handshake; the
+//! [`router::FleetRouter`] maps the hello to that site's session inbox
+//! or answers with the typed [`Envelope::SiteGone`]. Sites are
+//! partitioned across shard threads by [`shard::partition`], a pure
+//! function of the sorted site list, and each site snapshots into its
+//! own directory stamped with its id, so a fleet of N sites produces,
+//! per site, a canonical [`wolt_testbed::SessionReport`] byte-identical
+//! to N separate single-site servers — at any shard count, including
+//! across a kill/restart. Spec files for `wolt serve --sites` are
+//! parsed by [`spec`].
 //!
 //! Every association *decision* lives in the shared
 //! [`wolt_testbed::ControllerCore`], and the protocol around it —
@@ -31,8 +46,11 @@
 pub mod agent;
 pub mod engine;
 pub mod inbox;
+pub mod router;
 pub mod server;
+pub mod shard;
 pub mod snapshot;
+pub mod spec;
 pub mod store;
 pub mod wire;
 
@@ -43,8 +61,9 @@ pub use agent::{
 };
 pub use engine::{EngineStep, Incoming, SessionEngine};
 pub use error::{DaemonError, SnapshotCorrupt};
-pub use server::{Daemon, DaemonConfig, DaemonOutcome, DaemonStats};
+pub use server::{Daemon, DaemonConfig, DaemonOutcome, DaemonStats, Fleet, FleetOutcome, SiteDef};
 pub use snapshot::DaemonSnapshot;
+pub use spec::FleetSpec;
 pub use store::SnapshotStore;
 pub use wire::Envelope;
 

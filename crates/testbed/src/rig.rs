@@ -83,6 +83,23 @@ impl ControllerPolicy {
             ControllerPolicy::Rssi => "RSSI",
         }
     }
+
+    /// The lowercase key the CLI, fleet spec files and `wolt chaos`
+    /// spell the policy with.
+    pub fn key(self) -> &'static str {
+        match self {
+            ControllerPolicy::Wolt => "wolt",
+            ControllerPolicy::Greedy => "greedy",
+            ControllerPolicy::Rssi => "rssi",
+        }
+    }
+
+    /// The policy whose [`key`](Self::key) is `key`, ignoring ASCII case.
+    pub fn from_key(key: &str) -> Option<Self> {
+        [Self::Wolt, Self::Greedy, Self::Rssi]
+            .into_iter()
+            .find(|p| p.key().eq_ignore_ascii_case(key))
+    }
 }
 
 /// Deadline and retry budgets for the session protocol, shared by every

@@ -2,7 +2,8 @@
 # Loopback smoke test for the wolt daemon: boot the Central Controller on
 # 127.0.0.1 with an OS-assigned port, connect one agent per user, and
 # require a clean converged session — plus a live `wolt metrics` query
-# against the running daemon and a `--metrics-out` dump at shutdown.
+# against the running daemon, a `wolt fleet status` query that lists its
+# one anonymous site, and a `--metrics-out` dump at shutdown.
 # Used by CI (with a hard timeout and WOLT_THREADS=2) and runnable
 # locally:
 #
@@ -43,6 +44,18 @@ for _ in $(seq 1 200); do
 done
 [ -s "$WORK/addr" ] || { echo "daemon never published its address" >&2; exit 1; }
 ADDR="$(cat "$WORK/addr")"
+
+# The single-site server is a one-site fleet: status lists the anonymous
+# site "" (still waiting for its agents), and adding a site is refused.
+"$BIN" fleet status --addr "$ADDR" --output "$WORK/status.json"
+grep -q '"site": ""' "$WORK/status.json" ||
+    { echo "fleet status does not list the anonymous site:" >&2; cat "$WORK/status.json" >&2; exit 1; }
+if "$BIN" fleet add --addr "$ADDR" --site annex --preset lab --users 1 --seed 7 2> "$WORK/add.err"; then
+    echo "fleet add against a single-site server unexpectedly succeeded" >&2
+    exit 1
+fi
+grep -q "anonymous" "$WORK/add.err" ||
+    { echo "fleet add failed without the anonymous-site refusal:" >&2; cat "$WORK/add.err" >&2; exit 1; }
 
 for i in $(seq 0 $((USERS - 1))); do
     "$BIN" agent --addr "$ADDR" --preset lab --users "$USERS" --seed "$SEED" \
@@ -91,4 +104,4 @@ done
 
 wait
 echo "daemon smoke: clean converged session over $ADDR with $USERS agents;" \
-    "live metrics + shutdown dump verified ($METRICS_OUT)"
+    "fleet status + live metrics + shutdown dump verified ($METRICS_OUT)"

@@ -214,6 +214,7 @@ fn torn_newest_generation_rolls_back_and_still_matches_the_rig() {
 
 #[test]
 fn operator_stop_envelope_halts_the_daemon_gracefully() {
+    use wolt_daemon::wire::FleetOp;
     use wolt_daemon::{wire, Envelope};
     use wolt_testbed::TopologyOutcome;
 
@@ -236,9 +237,19 @@ fn operator_stop_envelope_halts_the_daemon_gracefully() {
     // A bare control connection sends the stop request before the
     // session can finish all events (it may land at any epoch — the
     // assertion is only that the daemon exits cleanly and reports an
-    // honest `completed` flag).
+    // honest `completed` flag). It waits until the anonymous site reads
+    // `running` — every agent registered — so no agent can arrive after
+    // the stop; if the session is already over, there is nothing to stop.
     let ctl = thread::spawn(move || {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        loop {
+            wire::send(&mut stream, &Envelope::Fleet(FleetOp::Status)).unwrap();
+            match wire::recv(&mut stream) {
+                Ok(Some(Envelope::FleetStatus { sites })) if sites[0].state == "waiting" => {}
+                Ok(Some(Envelope::FleetStatus { sites })) if sites[0].state == "running" => break,
+                _ => return,
+            }
+        }
         wire::send(
             &mut stream,
             &Envelope::Shutdown {

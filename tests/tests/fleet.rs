@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use wolt_daemon::wire::{self, FleetOp, SiteSpec};
 use wolt_daemon::{
-    run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope,
+    run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope, Fleet,
+    FleetOutcome, SiteDef,
 };
-use wolt_fleet::{Fleet, FleetConfig, FleetOutcome, SiteDef};
 use wolt_sim::Scenario;
 use wolt_support::obs;
 use wolt_testbed::{ControllerPolicy, SessionEvent};
@@ -114,9 +114,9 @@ fn run_fleet(defs: Vec<SiteDef>, snapshot_root: Option<PathBuf>) -> FleetOutcome
         .iter()
         .map(|d| (d.id.clone(), d.scenario.clone()))
         .collect();
-    let config = FleetConfig {
-        snapshot_root,
-        ..FleetConfig::default()
+    let config = DaemonConfig {
+        snapshot_dir: snapshot_root,
+        ..DaemonConfig::default()
     };
     let fleet = Fleet::bind("127.0.0.1:0", defs, config).expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
@@ -260,7 +260,7 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
         stop_after: None,
     };
     let scenario = def.scenario.clone();
-    let fleet = Fleet::bind("127.0.0.1:0", vec![def], FleetConfig::default()).expect("fleet bind");
+    let fleet = Fleet::bind("127.0.0.1:0", vec![def], DaemonConfig::default()).expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
 
     let ghost = {
@@ -436,7 +436,7 @@ fn fleet_ops_drive_a_live_fleet() {
             stop_after: None,
         },
     ];
-    let fleet = Fleet::bind("127.0.0.1:0", defs, FleetConfig::default()).expect("fleet bind");
+    let fleet = Fleet::bind("127.0.0.1:0", defs, DaemonConfig::default()).expect("fleet bind");
     let addr = fleet.local_addr().expect("bound address");
     let fleet = thread::spawn(move || fleet.run());
 
@@ -593,4 +593,150 @@ fn fleet_ops_drive_a_live_fleet() {
     assert_eq!(idle.epochs_done, 0);
     let hold = outcome.sites["hold"].as_ref().expect("hold outcome");
     assert!(!hold.completed, "the drained holdout cannot have completed");
+}
+
+/// A single-site server is a fleet of one anonymous site: `fleet status`
+/// lists that site as `""`, and `site add` is refused with a reason —
+/// the server reports exactly one outcome, so an added site's would be
+/// lost.
+#[test]
+fn single_site_server_answers_fleet_status_with_the_anonymous_site() {
+    let _guard = lock();
+    let scenario = lab_scenario(2, 41);
+    let mut config = DaemonConfig::new(ControllerPolicy::Wolt);
+    config.noise_seed = 41;
+    let daemon =
+        Daemon::bind("127.0.0.1:0", scenario.clone(), all_join(2), config).expect("daemon bind");
+    let addr = daemon.local_addr().expect("bound address");
+    let daemon = thread::spawn(move || daemon.run());
+
+    let mut ctl = TcpStream::connect(addr).expect("control connects");
+    ctl.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match fleet_op(&mut ctl, FleetOp::Status) {
+        Envelope::FleetStatus { sites } => {
+            assert_eq!(sites.len(), 1, "one site expected: {sites:?}");
+            let site = &sites[0];
+            assert_eq!(site.site, "");
+            assert_eq!(site.state, "waiting");
+            assert_eq!((site.users, site.events, site.epochs_done), (2, 2, 0));
+        }
+        other => panic!("expected fleet_status, got {other:?}"),
+    }
+    match fleet_op(
+        &mut ctl,
+        FleetOp::Add {
+            spec: SiteSpec {
+                id: "annex".into(),
+                preset: "lab".into(),
+                users: 1,
+                seed: 7,
+                policy: "wolt".into(),
+                stop_after: None,
+            },
+        },
+    ) {
+        Envelope::FleetAck {
+            op,
+            site,
+            ok: false,
+            detail,
+        } => {
+            assert_eq!((op.as_str(), site.as_str()), ("add", "annex"));
+            assert!(
+                detail.contains("anonymous"),
+                "unhelpful refusal: {detail:?}"
+            );
+        }
+        other => panic!("expected a refusal for add, got {other:?}"),
+    }
+    drop(ctl);
+
+    let agents: Vec<_> = (0..2)
+        .map(|i| {
+            let scenario = scenario.clone();
+            thread::spawn(move || run_agent(addr, &scenario, i, &format!("solo-{i}")))
+        })
+        .collect();
+    let outcome = daemon.join().expect("daemon thread").expect("session runs");
+    for handle in agents {
+        handle.join().expect("agent thread").expect("agent exits");
+    }
+    assert!(outcome.completed, "the anonymous site did not complete");
+    assert_eq!(outcome.epochs_done, 2);
+}
+
+/// `running` means every agent registered and the session driving: with
+/// one of a site's two agents connected, `fleet status` reads `waiting`,
+/// and the second registration makes it `running`.
+#[test]
+fn a_site_reads_waiting_until_every_agent_registered() {
+    let _guard = lock();
+    let def = SiteDef {
+        id: "pair".into(),
+        scenario: lab_scenario(2, 31),
+        events: all_join(2),
+        policy: ControllerPolicy::Wolt,
+        noise_seed: 31,
+        stop_after: None,
+    };
+    let fleet = Fleet::bind("127.0.0.1:0", vec![def], DaemonConfig::default()).expect("fleet bind");
+    let addr = fleet.local_addr().expect("bound address");
+    let fleet = thread::spawn(move || fleet.run());
+
+    // A bare handshake registers a client without running an agent.
+    let hello = |client: usize| {
+        let mut stream = TcpStream::connect(addr).expect("agent connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        wire::send(
+            &mut stream,
+            &Envelope::Hello {
+                client,
+                name: format!("bare-{client}"),
+                site: Some("pair".into()),
+            },
+        )
+        .expect("hello sends");
+        match wire::recv(&mut stream).expect("hello reply") {
+            Some(Envelope::HelloAck { .. }) => stream,
+            other => panic!("expected hello_ack, got {other:?}"),
+        }
+    };
+    let mut ctl = TcpStream::connect(addr).expect("control connects");
+    ctl.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let _first = hello(0);
+    // The session sees a registration within one 25 ms connect-wait
+    // tick; keep reading well past that.
+    let until = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < until {
+        match fleet_op(&mut ctl, FleetOp::Status) {
+            Envelope::FleetStatus { sites } => assert_eq!(
+                sites[0].state, "waiting",
+                "one of two agents registered, yet: {sites:?}"
+            ),
+            other => panic!("expected fleet_status, got {other:?}"),
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    let _second = hello(1);
+    await_status(&mut ctl, "both agents registered", |s| {
+        s[0].state == "running"
+    });
+
+    // Release the site: its bare clients never answer the first command.
+    match fleet_op(
+        &mut ctl,
+        FleetOp::Drain {
+            site: "pair".into(),
+        },
+    ) {
+        Envelope::FleetAck { ok: true, .. } => {}
+        other => panic!("expected an ack for drain, got {other:?}"),
+    }
+    drop(ctl);
+    let outcome = fleet.join().expect("fleet thread").expect("fleet runs");
+    let pair = outcome.sites["pair"].as_ref().expect("pair outcome");
+    assert!(!pair.completed, "a drained site cannot have completed");
 }
