@@ -41,9 +41,12 @@ fn main() {
 
     let worst_delta: f64 = bw.worst.iter().map(|(w, g)| w - g).sum();
     let best_delta: f64 = bw.best.iter().map(|(w, g)| w - g).sum();
+    // The paper's shape: the weak users lose, and the strong users gain
+    // more than the weak ones lose.
+    let paper_shape = worst_delta < 0.0 && best_delta > -worst_delta;
     measured(&format!(
         "topology {median_topology}: worst-3 users change by {worst_delta:+.1} Mbit/s total \
-         (paper ≈ −6), best-3 by {best_delta:+.1} Mbit/s total (paper ≈ +38) — the \
-         gain of the strong users dwarfs the loss of the weak ones"
+         (paper ≈ −6), best-3 by {best_delta:+.1} Mbit/s total (paper ≈ +38); the worst-3 \
+         lose and the best-3 gain more than that: {paper_shape}"
     ));
 }

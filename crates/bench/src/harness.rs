@@ -6,9 +6,8 @@
 //! briefly, calibrates an iteration count to a fixed measurement window,
 //! and prints one CSV row: `group/id,iters,ns_per_iter`.
 //!
-//! The numbers are indicative, not statistically rigorous — for relative
-//! comparisons between in-tree algorithms (Hungarian vs auction, NLP vs
-//! greedy completion), not for publication.
+//! The numbers are indicative, not statistically rigorous — for scaling
+//! trends and relative comparisons between policies, not for publication.
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -54,32 +53,6 @@ impl Group {
         self.report(id, iters, elapsed);
     }
 
-    /// Times `routine` on a fresh `setup()` value per iteration, excluding
-    /// the setup cost (criterion's `iter_batched`).
-    pub fn bench_batched<S, T>(
-        &mut self,
-        id: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) {
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < WARMUP_WINDOW {
-            black_box(routine(setup()));
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_nanos().max(1) / u128::from(warm_iters);
-        let iters = (MEASURE_WINDOW.as_nanos() / per_iter.max(1)).clamp(1, 1_000_000) as u64;
-        let mut busy = Duration::ZERO;
-        for _ in 0..iters {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            busy += start.elapsed();
-        }
-        self.report(id, iters, busy);
-    }
-
     fn report(&self, id: &str, iters: u64, elapsed: Duration) {
         let ns = elapsed.as_nanos() as f64 / iters as f64;
         println!("{}/{id},{iters},{ns:.1}", self.name);
@@ -95,20 +68,5 @@ mod tests {
         let mut calls = 0u64;
         Group::new("test").bench("noop", || calls += 1);
         assert!(calls > 0);
-    }
-
-    #[test]
-    fn bench_batched_runs_setup_per_iteration() {
-        let mut setups = 0u64;
-        let mut runs = 0u64;
-        Group::new("test").bench_batched(
-            "batched",
-            || {
-                setups += 1;
-                setups
-            },
-            |_| runs += 1,
-        );
-        assert_eq!(setups, runs);
     }
 }

@@ -82,26 +82,6 @@ pub fn sort_by_metric<T>(items: &mut [(T, f64)]) -> Result<(), NanMetric> {
     Ok(())
 }
 
-/// Nearest-rank percentile (`p` in percent, 0–100) over ascending-sorted
-/// samples.
-///
-/// Shares its edge-case contract with
-/// `wolt_support::obs::HistogramSnapshot::quantile`: `None` for an empty
-/// slice, `NaN` treated as 0, `p` clamped into [0, 100], and with one
-/// sample (or all-equal samples) every percentile is that sample.
-pub fn percentile_sorted<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let q = if p.is_nan() {
-        0.0
-    } else {
-        (p / 100.0).clamp(0.0, 1.0)
-    };
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,30 +100,6 @@ mod tests {
     #[test]
     fn f2_formats() {
         assert_eq!(f2(1.2345), "1.23");
-    }
-
-    // The percentile edge cases below are named after — and must stay in
-    // lockstep with — the obs histogram quantile tests in
-    // `wolt_support::obs`.
-
-    #[test]
-    fn quantile_zero_samples() {
-        assert_eq!(percentile_sorted::<u64>(&[], 50.0), None);
-    }
-
-    #[test]
-    fn quantile_single_sample() {
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            assert_eq!(percentile_sorted(&[7u64], p), Some(7));
-        }
-    }
-
-    #[test]
-    fn quantile_all_equal_samples() {
-        let samples = [3u64; 10];
-        for p in [0.0, 25.0, 50.0, 99.0, 100.0] {
-            assert_eq!(percentile_sorted(&samples, p), Some(3));
-        }
     }
 
     #[test]
@@ -184,17 +140,5 @@ mod tests {
             keys,
             vec!["ninf", "negzero", "zero", "first", "second", "pinf"]
         );
-    }
-
-    #[test]
-    fn quantile_nearest_rank() {
-        let samples = [10u64, 20, 30, 40];
-        assert_eq!(percentile_sorted(&samples, 50.0), Some(20));
-        assert_eq!(percentile_sorted(&samples, 75.0), Some(30));
-        assert_eq!(percentile_sorted(&samples, 100.0), Some(40));
-        // Out-of-range and NaN inputs clamp instead of panicking.
-        assert_eq!(percentile_sorted(&samples, -5.0), Some(10));
-        assert_eq!(percentile_sorted(&samples, 250.0), Some(40));
-        assert_eq!(percentile_sorted(&samples, f64::NAN), Some(10));
     }
 }

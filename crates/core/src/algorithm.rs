@@ -54,7 +54,6 @@ pub enum Phase2Solver {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wolt {
-    phase1_solver: Phase1Solver,
     phase1_utility: Phase1Utility,
     phase2_config: Phase2Config,
     phase2_solver: Phase2Solver,
@@ -70,17 +69,10 @@ impl Wolt {
     /// WOLT with the paper's defaults (NLP Phase II, 1e-5 tolerance).
     pub fn new() -> Self {
         Self {
-            phase1_solver: Phase1Solver::Hungarian,
             phase1_utility: Phase1Utility::Paper,
             phase2_config: Phase2Config::default(),
             phase2_solver: Phase2Solver::Nlp,
         }
-    }
-
-    /// Selects the Phase-I assignment solver (Hungarian or auction).
-    pub fn with_phase1_solver(mut self, solver: Phase1Solver) -> Self {
-        self.phase1_solver = solver;
-        self
     }
 
     /// Selects the Phase-I utility definition (the paper's Eq. 12 or an
@@ -114,7 +106,7 @@ impl Wolt {
         net: &Network,
     ) -> Result<(Phase1Outcome, Phase2Outcome), CoreError> {
         let started = std::time::Instant::now();
-        let p1 = run_phase1_full(net, self.phase1_solver, self.phase1_utility)?;
+        let p1 = run_phase1_full(net, Phase1Solver::Hungarian, self.phase1_utility)?;
         obs::counter_inc("core.phase1_solves");
         let mut p2 = match self.phase2_solver {
             Phase2Solver::Nlp => run_phase2(net, &p1.association, &self.phase2_config)?,
@@ -287,23 +279,15 @@ mod tests {
     #[test]
     fn phase1_variants_run_end_to_end() {
         let net = fig3_network();
-        for solver in [Phase1Solver::Hungarian, Phase1Solver::Auction] {
-            for utility in [
-                Phase1Utility::Paper,
-                Phase1Utility::WifiOnly,
-                Phase1Utility::PlcShareOnly,
-            ] {
-                let wolt = Wolt::new()
-                    .with_phase1_solver(solver)
-                    .with_phase1_utility(utility);
-                let assoc = wolt.associate(&net).unwrap();
-                assert!(assoc.is_complete());
-            }
+        for utility in [
+            Phase1Utility::Paper,
+            Phase1Utility::WifiOnly,
+            Phase1Utility::PlcShareOnly,
+        ] {
+            let wolt = Wolt::new().with_phase1_utility(utility);
+            let assoc = wolt.associate(&net).unwrap();
+            assert!(assoc.is_complete());
         }
-        // The paper utility with either solver recovers the optimum here.
-        let auction = Wolt::new().with_phase1_solver(Phase1Solver::Auction);
-        let eval = evaluate(&net, &auction.associate(&net).unwrap()).unwrap();
-        assert!((eval.aggregate.value() - 40.0).abs() < 1e-9);
     }
 
     #[test]

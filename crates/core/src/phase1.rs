@@ -15,23 +15,18 @@
 //! matrix and solve it with the Hungarian algorithm from `wolt-opt`
 //! (O(|A|³), the complexity the paper cites).
 
-use wolt_opt::auction::auction_assignment;
 use wolt_opt::{max_weight_assignment, Matrix};
 use wolt_units::Mbps;
 
 use crate::{Association, CoreError, Network};
 
-/// Which assignment solver Phase I uses. Both are exact (the auction's ε
-/// is far below any utility gap); the auction can be faster on dense
-/// instances and serves as an independent oracle for the Hungarian
-/// implementation.
+/// Which assignment solver Phase I uses. The Hungarian is the only one;
+/// the type keeps [`run_phase1_full`]'s signature stable for its callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase1Solver {
     /// Shortest-augmenting-path Hungarian algorithm (the paper's choice).
     #[default]
     Hungarian,
-    /// Bertsekas auction algorithm with ε = 1e-9.
-    Auction,
 }
 
 /// Which utility definition Phase I optimizes — the paper's bottleneck-aware
@@ -111,16 +106,7 @@ pub fn phase1_utilities_with(net: &Network, utility: Phase1Utility) -> Result<Ma
 ///
 /// Propagates utility-matrix construction failures.
 pub fn run_phase1(net: &Network) -> Result<Phase1Outcome, CoreError> {
-    run_phase1_with(net, Phase1Solver::Hungarian)
-}
-
-/// [`run_phase1`] with an explicit assignment-solver choice.
-///
-/// # Errors
-///
-/// Propagates utility-matrix construction failures.
-pub fn run_phase1_with(net: &Network, solver: Phase1Solver) -> Result<Phase1Outcome, CoreError> {
-    run_phase1_full(net, solver, Phase1Utility::Paper)
+    run_phase1_full(net, Phase1Solver::Hungarian, Phase1Utility::Paper)
 }
 
 /// [`run_phase1`] with explicit solver and utility choices.
@@ -136,7 +122,6 @@ pub fn run_phase1_full(
     let utilities = phase1_utilities_with(net, utility)?;
     let assignment = match solver {
         Phase1Solver::Hungarian => max_weight_assignment(&utilities),
-        Phase1Solver::Auction => auction_assignment(&utilities, 1e-9),
     };
 
     let mut association = Association::unassigned(net.users());
@@ -312,23 +297,6 @@ mod tests {
             eval_paper.aggregate,
             eval_blind.aggregate
         );
-    }
-
-    #[test]
-    fn auction_solver_matches_hungarian_solver() {
-        let net = Network::from_raw(
-            vec![90.0, 45.0, 120.0],
-            vec![
-                vec![18.0, 25.0, 31.0],
-                vec![9.0, 14.0, 27.0],
-                vec![33.0, 8.0, 16.0],
-                vec![21.0, 19.0, 12.0],
-            ],
-        )
-        .unwrap();
-        let hungarian = run_phase1_with(&net, Phase1Solver::Hungarian).unwrap();
-        let auction = run_phase1_with(&net, Phase1Solver::Auction).unwrap();
-        assert!((hungarian.utility_total - auction.utility_total).abs() < 1e-6);
     }
 
     #[test]

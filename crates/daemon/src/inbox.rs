@@ -10,10 +10,12 @@
 //! whereas a dropped ack would stall a directive transaction into a
 //! false declared-dead, and a dropped register/stop would wedge the
 //! session. The policy is pure queue-state logic (no clocks, no
-//! randomness): when full, the oldest sheddable entry makes room; if
-//! nothing queued is sheddable and the newcomer is, the newcomer is
-//! shed; lifecycle messages are always admitted even past the cap
-//! (their count is bounded by the protocol, not by a flooder).
+//! randomness): when a telemetry newcomer finds the queue full, the
+//! oldest queued telemetry makes room, or, if none is queued, the
+//! newcomer itself is shed. A lifecycle newcomer is always admitted,
+//! even past the cap, and sheds nothing (the count of lifecycle
+//! messages is bounded by the protocol, not by a flooder), so a
+//! disconnect racing a flood cannot change how many frames are shed.
 //!
 //! Every shed increments `daemon.frames_shed`, so a scripted load test
 //! can assert exact counts — the policy has no timing dependence.
@@ -83,19 +85,19 @@ impl<T> InboxSender<T> {
         }
         let msg_sheddable = (self.shared.sheddable)(&msg);
         let mut shed = false;
-        if self.shared.cap > 0 && state.queue.len() >= self.shared.cap {
+        // Only telemetry is ever shed, and only to admit telemetry: a
+        // lifecycle message rides in past the cap and sheds nothing —
+        // their volume is bounded by the protocol itself.
+        if msg_sheddable && self.shared.cap > 0 && state.queue.len() >= self.shared.cap {
             if let Some(oldest) = state.queue.iter().position(|(s, _)| *s) {
                 // Shed the oldest queued telemetry to make room.
                 state.queue.remove(oldest);
                 shed = true;
-            } else if msg_sheddable {
-                // Nothing queued may be shed; the newcomer is telemetry,
-                // so it is the one that yields.
+            } else {
+                // Nothing queued may be shed, so the newcomer yields.
                 obs::counter_inc("daemon.frames_shed");
                 return Ok(true);
             }
-            // Otherwise: a lifecycle message rides in past the cap —
-            // their volume is bounded by the protocol itself.
         }
         state.queue.push_back((msg_sheddable, msg));
         drop(state);
@@ -245,14 +247,15 @@ mod tests {
         for i in 1..=4 {
             assert!(!tx.send(i).unwrap());
         }
-        // Over cap: 5 admits by shedding 1; 6 admits by shedding 3.
+        // Over cap: 5 admits by shedding 1; lifecycle 6 rides in past the
+        // cap and sheds nothing.
         assert!(tx.send(5).unwrap());
-        assert!(tx.send(6).unwrap());
-        // Queue is [2, 4, 5, 6]; only 5 is sheddable now, so 7 sheds it.
+        assert!(!tx.send(6).unwrap());
+        // Queue is [2, 3, 4, 5, 6]; 7 sheds the oldest sheddable, 3.
         assert!(tx.send(7).unwrap());
         let drained: Vec<u32> =
             std::iter::from_fn(|| rx.recv_timeout(Duration::ZERO).ok()).collect();
-        assert_eq!(drained, vec![2, 4, 6, 7]);
+        assert_eq!(drained, vec![2, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -69,8 +69,9 @@
 //! (`daemon.conns_rejected`); a peer that stalls mid-frame past
 //! `read_stall` loses its connection (`daemon.read_timeouts`) while
 //! idling *between* frames stays free; and each session inbox is bounded
-//! at `inbox_cap` entries, shedding the oldest queued telemetry first —
-//! never acks or lifecycle messages (`daemon.frames_shed`).
+//! at `inbox_cap` entries: telemetry past the cap sheds the oldest
+//! queued telemetry (`daemon.frames_shed`), while acks and lifecycle
+//! messages ride in past the cap and shed nothing.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -140,9 +141,9 @@ pub struct DaemonConfig {
     /// Concurrent connections accepted before new arrivals are refused
     /// with [`Envelope::Busy`]; `0` means unlimited.
     pub max_connections: usize,
-    /// Per-site session-inbox bound; past it the oldest queued telemetry
-    /// frame is shed (acks and lifecycle messages never are). `0` means
-    /// unbounded.
+    /// Per-site session-inbox bound; a telemetry frame past it sheds the
+    /// oldest queued telemetry frame (acks and lifecycle messages are
+    /// never shed and shed nothing). `0` means unbounded.
     pub inbox_cap: usize,
     /// How long a peer may stall *mid-frame* before its connection is
     /// dropped (idle between frames is always allowed). `Duration::ZERO`

@@ -11,7 +11,7 @@
 //!   the O(n³) shortest-augmenting-path (Jonker–Volgenant style) Hungarian
 //!   algorithm with dual potentials.
 //! * [`simplex`] — exact Euclidean projection onto the probability simplex
-//!   (and masked variants for restricted support sets).
+//!   (and an in-place variant restricted to a row's allowed coordinates).
 //! * [`gradient`] — a projected-gradient ascent solver with Armijo
 //!   backtracking over per-row simplices, the stand-in for the paper's
 //!   interior-point solver (same feasible set, same stopping rule).
@@ -44,9 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod auction;
 pub mod brute;
-pub mod dynamic;
 pub mod gradient;
 pub mod hungarian;
 pub mod matrix;

@@ -1,7 +1,6 @@
 //! Property-based tests for the optimization substrate, on the in-tree
 //! `wolt_support::check` harness.
 
-use wolt_opt::auction::auction_assignment;
 use wolt_opt::brute;
 use wolt_opt::hungarian::max_weight_assignment;
 use wolt_opt::simplex::{is_on_simplex, project_simplex, project_simplex_indexed};
@@ -65,27 +64,6 @@ fn hungarian_is_optimal() {
         } else {
             Err(format!("hungarian={} brute={best}", hung.total))
         }
-    });
-}
-
-/// The auction algorithm agrees with the Hungarian optimum to within
-/// its n·ε guarantee (and in practice exactly, for tiny ε).
-#[test]
-fn auction_matches_hungarian() {
-    Runner::new("auction_matches_hungarian").run(small_matrix, |m| {
-        let hung = max_weight_assignment(m);
-        let auc = auction_assignment(m, 1e-7);
-        if hung.total - auc.total > m.rows() as f64 * 1e-7 + 1e-6 {
-            return Err(format!("hungarian={} auction={}", hung.total, auc.total));
-        }
-        // The auction result is itself a valid matching.
-        let mut cols = std::collections::BTreeSet::new();
-        for &(_, c) in &auc.pairs {
-            if !cols.insert(c) {
-                return Err(format!("column {c} used twice"));
-            }
-        }
-        Ok(())
     });
 }
 

@@ -9,14 +9,14 @@ mkdir -p "$out"
 bins=(fig2a fig2b fig2c fig3 fig4a fig4b fig4c fig5 fig6a fig6b fig6c fairness ablation resilience flow_fidelity)
 for bin in "${bins[@]}"; do
     echo ">>> $bin"
-    cargo run --quiet --release -p wolt-bench --bin "$bin" | tee "$out/$bin.csv"
+    cargo run --quiet --release --offline -p wolt-bench --bin "$bin" | tee "$out/$bin.csv"
 done
 
 echo ">>> micro-benchmarks (plain harness binaries; CSV on stdout)"
-benches=(bench_hungarian bench_association bench_flowsim bench_mac_sims bench_phase_solvers bench_sharing_models)
+benches=(bench_hungarian bench_association)
 for bench in "${benches[@]}"; do
     echo ">>> $bench"
-    cargo run --quiet --release -p wolt-bench --bin "$bench" | tee "$out/$bench.csv"
+    cargo run --quiet --release --offline -p wolt-bench --bin "$bench" | tee "$out/$bench.csv"
 done
 
 echo "all experiment outputs written to $out/"
