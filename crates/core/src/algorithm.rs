@@ -114,6 +114,7 @@ impl Wolt {
         };
         if let Some(report) = &p2.fractional {
             obs::counter_add("core.phase2_iterations", report.iterations as u64);
+            obs::counter_add("core.phase2_trials", report.trials as u64);
         }
         repair_user_limits(net, &mut p2.association)?;
         obs::counter_inc("core.solves");

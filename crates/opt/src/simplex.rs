@@ -94,10 +94,20 @@ pub fn project_simplex_indexed(row: &mut [f64], active: &[usize], scratch: &mut 
     }
 }
 
+/// The projection's fast-path tolerance: a row with no negative coordinate
+/// whose sum is this close to 1 is left as it is.
+const ON_SIMPLEX_TOL: f64 = 1e-12;
+
+/// The solver's stationarity tolerance, at the projection's own
+/// resolution: a rejected full-step trial that lies this close (max-abs)
+/// to the iterate shows the iterate is a fixed point of
+/// `x ↦ P(x + step·∇f(x))`, so the solve ends there.
+pub(crate) const STATIONARY_TOL: f64 = 1e-12;
+
 /// The projection's fast path: `v` has no negative coordinate and already
-/// sums to 1 (within 1e-12).
+/// sums to 1 (within [`ON_SIMPLEX_TOL`]).
 fn already_on_simplex(v: &[f64]) -> bool {
-    v.iter().all(|&x| x >= 0.0) && (v.iter().sum::<f64>() - 1.0).abs() < 1e-12
+    v.iter().all(|&x| x >= 0.0) && (v.iter().sum::<f64>() - 1.0).abs() < ON_SIMPLEX_TOL
 }
 
 /// The projection threshold of a vector sorted in descending order:
