@@ -14,7 +14,8 @@
 //!   (and an in-place variant restricted to a row's allowed coordinates).
 //! * [`gradient`] — a projected-gradient ascent solver with Armijo
 //!   backtracking over per-row simplices, the stand-in for the paper's
-//!   interior-point solver (same feasible set, same stopping rule).
+//!   interior-point solver (same feasible set and stopping rule, plus an
+//!   exit at first-order stationarity).
 //! * [`brute`] — exhaustive search over integral assignments, used as the
 //!   optimality oracle on small instances (the paper's "optimal" policy of
 //!   Fig. 3d) and to validate the polynomial-time algorithms in tests.
