@@ -18,10 +18,16 @@
 //! ```
 //!
 //! and paste the printed `PIN` lines back into [`PINS`].
+//!
+//! A second pin covers breadth instead of depth: one CRC-32 over a
+//! digest of every site in [`SWEEP_ENTERPRISE`] and [`SWEEP_LAB`], each
+//! digest holding the same quantities (and the greedy Phase II's
+//! association and objective, whose polish applies moves). Regenerate it
+//! with the same command and paste the printed `SWEEP_CRC` value back.
 
-use wolt_core::Wolt;
+use wolt_core::{Network, Phase2Solver, Wolt};
 use wolt_support::crc::crc32;
-use wolt_tests::enterprise_network;
+use wolt_tests::{enterprise_network, lab_scenario};
 
 const USERS: usize = 200;
 
@@ -143,4 +149,95 @@ fn print_pins() {
             pin.seed, o.iterations, o.value_bits, o.iterate_crc, o.wifi_objective_bits, o.association
         );
     }
+}
+
+/// The sweep's enterprise sites (15 extenders): `(users, seeds)`.
+const SWEEP_ENTERPRISE: &[(usize, std::ops::RangeInclusive<u64>)] = &[
+    (50, 1..=10),
+    (100, 1..=10),
+    (150, 1..=6),
+    (200, 3..=8),
+    (250, 1..=3),
+    (300, 1..=4),
+];
+
+/// The sweep's lab sites (3 extenders): `(users, seeds)`.
+const SWEEP_LAB: &[(usize, std::ops::RangeInclusive<u64>)] = &[(8, 1..=15), (20, 1..=15)];
+
+/// CRC-32 over the digests of every sweep site, in sweep order.
+const SWEEP_CRC: u32 = 0x6e116c1a;
+
+/// Every sweep site, labelled, in sweep order.
+fn sweep_sites() -> Vec<(String, Network)> {
+    let enterprise = SWEEP_ENTERPRISE.iter().flat_map(|(users, seeds)| {
+        seeds.clone().map(move |seed| {
+            let label = format!("enterprise {users} users seed {seed}");
+            (label, enterprise_network(*users, seed))
+        })
+    });
+    let lab = SWEEP_LAB.iter().flat_map(|(users, seeds)| {
+        seeds.clone().map(move |seed| {
+            let net = lab_scenario(*users, seed)
+                .network()
+                .expect("network builds");
+            (format!("lab {users} users seed {seed}"), net)
+        })
+    });
+    enterprise.chain(lab).collect()
+}
+
+/// One site's digest: the NLP solve's iteration count, value bits,
+/// iterate CRC, association and WiFi-objective bits, then the greedy
+/// Phase II's association and WiFi-objective bits, little-endian.
+fn digest(net: &Network) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for solver in [Phase2Solver::Nlp, Phase2Solver::Greedy] {
+        let (_, p2) = Wolt::new()
+            .with_phase2_solver(solver)
+            .associate_detailed(net)
+            .expect("site solves");
+        if let Some(report) = &p2.fractional {
+            let x: Vec<u8> = report
+                .x
+                .iter()
+                .flatten()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            bytes.extend((report.iterations as u64).to_le_bytes());
+            bytes.extend(report.value.to_bits().to_le_bytes());
+            bytes.extend(crc32(&x).to_le_bytes());
+        }
+        bytes.extend((0..net.users()).flat_map(|i| {
+            let j = p2.association.target(i).expect("complete association");
+            (j as u32).to_le_bytes()
+        }));
+        bytes.extend(p2.wifi_objective.to_bits().to_le_bytes());
+    }
+    bytes
+}
+
+#[test]
+fn phase2_is_pinned_over_a_site_sweep() {
+    let sites = sweep_sites();
+    let bytes: Vec<u8> = sites.iter().flat_map(|(_, net)| digest(net)).collect();
+    assert_eq!(
+        crc32(&bytes),
+        SWEEP_CRC,
+        "Phase II changed on at least one of {} sites; print_pins lists each site's digest",
+        sites.len()
+    );
+}
+
+/// Regeneration helper for the sweep: prints each site's digest CRC and
+/// the sweep's CRC. Ignored in normal runs.
+#[test]
+#[ignore = "regeneration helper, not a check"]
+fn print_sweep_pin() {
+    let mut bytes = Vec::new();
+    for (label, net) in sweep_sites() {
+        let d = digest(&net);
+        println!("{label}: digest crc {:#010x}", crc32(&d));
+        bytes.extend(d);
+    }
+    println!("SWEEP_CRC {:#010x}", crc32(&bytes));
 }
