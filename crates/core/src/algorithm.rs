@@ -317,6 +317,33 @@ mod tests {
     }
 
     #[test]
+    fn serves_a_user_limited_network_it_can_complete() {
+        // Phase II's extraction may overfill extender 0; the polish must
+        // accept that start and leave it to the repair pass.
+        let net = Network::from_raw(
+            vec![100.0, 90.0],
+            vec![
+                vec![30.0, 5.0],
+                vec![28.0, 6.0],
+                vec![26.0, 7.0],
+                vec![25.0, 8.0],
+            ],
+        )
+        .unwrap()
+        .with_user_limits(vec![Some(1), None])
+        .unwrap();
+        for solver in [Phase2Solver::Nlp, Phase2Solver::Greedy] {
+            let assoc = Wolt::new()
+                .with_phase2_solver(solver)
+                .associate(&net)
+                .unwrap_or_else(|e| panic!("{solver:?}: {e}"));
+            assert!(assoc.is_complete(), "{solver:?}");
+            net.validate_association(&assoc).unwrap();
+            assert_eq!(assoc, Association::complete(vec![0, 1, 1, 1]), "{solver:?}");
+        }
+    }
+
+    #[test]
     fn impossible_limits_error() {
         let net = Network::from_raw(vec![100.0, 90.0], vec![vec![30.0, 5.0], vec![28.0, 6.0]])
             .unwrap()

@@ -1,10 +1,9 @@
 //! Incremental association evaluation: O(A) probes instead of O(U·A)
 //! re-evaluation.
 //!
-//! Every optimizer in the workspace — Phase-II coordinate-ascent polish,
-//! [`crate::OnlineWolt`]'s marginal-gain move loop, the greedy baselines,
-//! and brute-force enumeration — scores candidate associations that differ
-//! from the current one by a *single user's move*. Calling
+//! [`crate::OnlineWolt`]'s marginal-gain move loop and the greedy
+//! baselines score candidate associations that differ from the current
+//! one by a *single user's move*. Calling
 //! [`crate::evaluate`] for each candidate re-validates the association,
 //! rebuilds every WiFi cell, and re-runs the PLC allocation: O(U·A) work
 //! to answer a question about two cells.
@@ -20,8 +19,6 @@
 //! * [`IncrementalEvaluator::probe_move_user`] — the moved user's own
 //!   end-to-end throughput (what [`crate::baselines::SelfishGreedy`]
 //!   ranks);
-//! * [`IncrementalEvaluator::probe_wifi_delta`] — O(1) WiFi-side objective
-//!   delta (what Phase-II polish ranks; no PLC involved);
 //! * [`IncrementalEvaluator::apply_move`] — commit a move, updating the
 //!   two cells and the cached aggregate.
 //!
@@ -301,40 +298,6 @@ impl<'n> IncrementalEvaluator<'n> {
         self.probe(user, to).map(|p| p.user_throughput)
     }
 
-    /// O(1) change in the WiFi-side objective Σ_j T_wifi(j) if user `i`
-    /// moved to `to` — the quantity Phase-II polish ranks. No PLC
-    /// water-filling is involved.
-    ///
-    /// # Errors
-    ///
-    /// As [`IncrementalEvaluator::probe_move`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `user` is out of range.
-    pub fn probe_wifi_delta(&self, user: usize, to: Option<usize>) -> Result<f64, CoreError> {
-        probes_counter().inc();
-        let from = self.assoc.target(user);
-        if let Some(j) = to {
-            self.check_move(user, from, j)?;
-        }
-        if from == to {
-            return Ok(0.0);
-        }
-        let mut delta = 0.0;
-        if let Some(j) = from {
-            let rate = self.net.rate(user, j).expect("current link is reachable");
-            delta +=
-                self.cells[j].aggregate_if_left(rate).value() - self.cells[j].aggregate().value();
-        }
-        if let Some(j) = to {
-            let rate = self.net.rate(user, j).expect("checked above");
-            delta +=
-                self.cells[j].aggregate_if_joined(rate).value() - self.cells[j].aggregate().value();
-        }
-        Ok(delta)
-    }
-
     /// Moves user `i` to `to` (`None` = disconnect), updating the two
     /// touched cells and the cached aggregate. Returns the new aggregate.
     ///
@@ -567,26 +530,6 @@ mod tests {
         // A no-op "move" within the full cell is fine.
         let stay = ev.probe_move(0, Some(0)).unwrap();
         assert!(close(stay, ev.aggregate()));
-    }
-
-    #[test]
-    fn wifi_delta_matches_objective_difference() {
-        let net = net_3x5();
-        let assoc = Association::complete(vec![0, 1, 2, 0, 1]);
-        let ev = IncrementalEvaluator::new(&net, &assoc).unwrap();
-        for user in 0..5 {
-            for j in net.reachable_extenders(user) {
-                let delta = ev.probe_wifi_delta(user, Some(j)).unwrap();
-                let mut moved = assoc.clone();
-                moved.assign(user, j);
-                let direct = crate::phase2::wifi_objective(&net, &moved)
-                    - crate::phase2::wifi_objective(&net, &assoc);
-                assert!(
-                    (delta - direct).abs() < 1e-9,
-                    "user {user} -> {j}: delta {delta}, direct {direct}"
-                );
-            }
-        }
     }
 
     #[test]

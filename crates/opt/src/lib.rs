@@ -10,12 +10,16 @@
 //! * [`hungarian`] — a rectangular maximum-weight assignment solver built on
 //!   the O(n³) shortest-augmenting-path (Jonker–Volgenant style) Hungarian
 //!   algorithm with dual potentials.
-//! * [`simplex`] — exact Euclidean projection onto the probability simplex
-//!   (and an in-place variant restricted to a row's allowed coordinates).
+//! * [`simplex`] — exact Euclidean projection onto the probability simplex,
+//!   and [`Supports`], the packed layout of a block of simplex rows that
+//!   each span only their allowed coordinates (a user's reachable
+//!   extenders).
 //! * [`gradient`] — a projected-gradient ascent solver with Armijo
 //!   backtracking over per-row simplices, the stand-in for the paper's
 //!   interior-point solver (same feasible set and stopping rule, plus an
-//!   exit at first-order stationarity).
+//!   exit at first-order stationarity). It works in the packed layout end
+//!   to end: each row's values are contiguous, and each projection runs
+//!   in place over them.
 //! * [`brute`] — exhaustive search over integral assignments, used as the
 //!   optimality oracle on small instances (the paper's "optimal" policy of
 //!   Fig. 3d) and to validate the polynomial-time algorithms in tests.
@@ -57,3 +61,4 @@ pub use error::OptError;
 pub use gradient::{Objective, ProjectedGradient, SolveReport};
 pub use hungarian::{max_weight_assignment, Assignment};
 pub use matrix::Matrix;
+pub use simplex::Supports;

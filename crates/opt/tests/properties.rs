@@ -3,7 +3,7 @@
 
 use wolt_opt::brute;
 use wolt_opt::hungarian::max_weight_assignment;
-use wolt_opt::simplex::{is_on_simplex, project_simplex, project_simplex_indexed};
+use wolt_opt::simplex::{is_on_simplex, project_simplex, Supports};
 use wolt_opt::Matrix;
 use wolt_support::check::Runner;
 use wolt_support::rng::{ChaCha8Rng, Rng};
@@ -164,8 +164,8 @@ fn projection_monotone() {
     );
 }
 
-/// Masked projection puts zero mass on masked-out coordinates and is
-/// feasible on the rest.
+/// Packed projection over a row's support, unpacked, puts zero mass on
+/// the coordinates the support leaves out and is feasible on the rest.
 #[test]
 fn masked_projection_feasible() {
     Runner::new("masked_projection_feasible").run(
@@ -184,10 +184,12 @@ fn masked_projection_feasible() {
             if !mask.iter().any(|&b| b) {
                 mask[0] = true;
             }
-            let active: Vec<usize> = (0..v.len()).filter(|&i| mask[i]).collect();
-            let mut x = v.clone();
-            project_simplex_indexed(&mut x, &active, &mut Vec::new());
-            if !is_on_simplex(&x, 1e-9) {
+            let mut supports = Supports::new(v.len());
+            supports.push_row((0..v.len()).filter(|&i| mask[i]));
+            let mut packed = packed_row(v, &supports);
+            supports.project(&mut packed, &mut Vec::new());
+            let x = &supports.unpack(&packed)[0];
+            if !is_on_simplex(x, 1e-9) {
                 return Err(format!("masked projection left the simplex: {x:?}"));
             }
             for (xi, mi) in x.iter().zip(&mask) {
@@ -198,6 +200,11 @@ fn masked_projection_feasible() {
             Ok(())
         },
     );
+}
+
+/// The values of the one-row `supports`' listed coordinates of `row`.
+fn packed_row(row: &[f64], supports: &Supports) -> Vec<f64> {
+    supports.row(0).iter().map(|&j| row[j]).collect()
 }
 
 /// A row and the coordinates its simplex spans, drawn to reach every
@@ -239,8 +246,9 @@ fn indexed_projection_case(rng: &mut ChaCha8Rng) -> (Vec<f64>, Vec<usize>) {
     (row, active)
 }
 
-/// The in-place index-list projection is bit for bit the reference
-/// projection of the gathered sub-vector, scattered into a zeroed row.
+/// The packed kernel, run in place over a row's listed values and
+/// unpacked, is bit for bit the reference projection of the gathered
+/// sub-vector, scattered into a zeroed row.
 #[test]
 fn indexed_projection_matches_reference_bitwise() {
     Runner::new("indexed_projection_matches_reference_bitwise")
@@ -253,12 +261,15 @@ fn indexed_projection_matches_reference_bitwise() {
                 expect[j] = v;
             }
 
-            let mut got = row.clone();
+            let mut supports = Supports::new(row.len());
+            supports.push_row(active.iter().copied());
+            let mut packed = packed_row(row, &supports);
             // Stale scratch contents must not reach the result.
             let mut scratch = vec![f64::NAN; 3];
-            project_simplex_indexed(&mut got, active, &mut scratch);
+            supports.project(&mut packed, &mut scratch);
+            let got = &supports.unpack(&packed)[0];
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            if bits(&got) == bits(&expect) {
+            if bits(got) == bits(&expect) {
                 Ok(())
             } else {
                 Err(format!("indexed {got:?} != reference {expect:?}"))

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wolt_opt::{Objective, ProjectedGradient};
+use wolt_opt::{Objective, ProjectedGradient, Supports};
 use wolt_support::rng::{ChaCha8Rng, Rng, SeedableRng};
 
 thread_local! {
@@ -83,24 +83,24 @@ impl Objective for Watched {
 fn iterations_allocate_nothing() {
     let (rows, cols) = (60, 9);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let masks: Vec<Vec<bool>> = (0..rows)
-        .map(|_| {
-            let mut mask: Vec<bool> = (0..cols).map(|_| rng.gen_range(0..3u32) > 0).collect();
-            mask[rng.gen_range(0..cols)] = true;
-            mask
-        })
-        .collect();
-    let x0: Vec<Vec<f64>> = (0..rows).map(|_| vec![1.0 / cols as f64; cols]).collect();
+    let mut supports = Supports::new(cols);
+    for _ in 0..rows {
+        let mut mask: Vec<bool> = (0..cols).map(|_| rng.gen_range(0..3u32) > 0).collect();
+        mask[rng.gen_range(0..cols)] = true;
+        supports.push_row((0..cols).filter(|&j| mask[j]));
+    }
+    let entries = supports.len();
+    let x0 = vec![1.0 / cols as f64; entries];
     let mut objective = Watched {
-        weight: (0..rows * cols).map(|_| rng.gen_range(0.1..10.0)).collect(),
-        target: (0..rows * cols).map(|_| rng.gen_range(-1.0..2.0)).collect(),
+        weight: (0..entries).map(|_| rng.gen_range(0.1..10.0)).collect(),
+        target: (0..entries).map(|_| rng.gen_range(-1.0..2.0)).collect(),
         evaluations: 0,
         in_loop: 0,
         drifted: 0,
     };
     let report = ProjectedGradient::new()
         .with_tol(1e-9)
-        .maximize(&mut objective, x0, Some(&masks))
+        .maximize(&mut objective, x0, &supports)
         .expect("well-formed problem");
 
     assert!(report.iterations > 5, "{} iterations", report.iterations);

@@ -5,23 +5,38 @@
 //! moving, and the solve stops there instead of backtracking. These pins
 //! count the trial points the line searches evaluated, one objective
 //! evaluation each, and check that `Wolt::associate_detailed` adds them
-//! to the `core.phase2_trials` counter.
+//! to the `core.phase2_trials` counter. They also pin the discrete
+//! polish's work per solve: the candidates it scored
+//! (`core.incremental_probes`), the moves it applied
+//! (`core.incremental_applies`) and its passes (`core.polish_rounds`),
+//! for the NLP Phase II and for the greedy one, whose polish moves users.
 //!
 //! The obs registry is process-wide, so this binary holds this one test
 //! and nothing else moves its counters.
 
-use wolt_core::Wolt;
+use wolt_core::{Phase2Solver, Wolt};
 use wolt_support::obs;
 use wolt_tests::enterprise_network;
 
 const USERS: usize = 200;
 
+/// The counters' moves across one `associate_detailed` call.
+fn polish_work(before: &obs::ObsSnapshot, after: &obs::ObsSnapshot) -> [u64; 3] {
+    [
+        "core.incremental_probes",
+        "core.incremental_applies",
+        "core.polish_rounds",
+    ]
+    .map(|name| after.counter(name) - before.counter(name))
+}
+
 #[test]
 fn line_search_trials_are_pinned_and_counted() {
     obs::set_enabled(true);
-    // (scenario seed, iterations, trials): every iteration but the last
-    // accepts its full step, and the last rejects it as stationary.
-    for (seed, iterations, trials) in [(2, 6, 6), (1, 78, 78)] {
+    // (scenario seed, iterations, trials, [probes, applies, rounds]):
+    // every iteration but the last accepts its full step, and the last
+    // rejects it as stationary; the polish then finds no move.
+    for (seed, iterations, trials, work) in [(2, 6, 6, [1788, 0, 1]), (1, 78, 78, [2067, 0, 1])] {
         let net = enterprise_network(USERS, seed);
         let before = obs::snapshot();
         let (_, p2) = Wolt::new()
@@ -37,5 +52,16 @@ fn line_search_trials_are_pinned_and_counted() {
             trials as u64,
             "seed {seed}: core.phase2_trials"
         );
+        assert_eq!(polish_work(&before, &after), work, "seed {seed}: polish");
     }
+
+    // The greedy Phase II's polish applies moves on the slow site.
+    let net = enterprise_network(USERS, 1);
+    let before = obs::snapshot();
+    Wolt::new()
+        .with_phase2_solver(Phase2Solver::Greedy)
+        .associate_detailed(&net)
+        .expect("enterprise site solves");
+    let after = obs::snapshot();
+    assert_eq!(polish_work(&before, &after), [4134, 3, 2], "greedy polish");
 }
