@@ -6,13 +6,15 @@
 # per end-to-end metric, each side's median and quartiles, the pairs the
 # change won, and whether the median gain exceeds the parent's
 # interquartile range; then every pair's values, and failed/attempted
-# events per side. Writes nothing in the checkout. Run nothing else on
-# the machine while it times.
+# events per side. After the pairs it runs each side once more, traced
+# (`--seconds 1 --trace 1`, first seed), and prints every per-layer
+# metric of BENCHMARK.json as parent / change. Writes nothing in the
+# checkout. Run nothing else on the machine while it times.
 #
 #   bash scripts/bench_ab.sh <parent-rev> <change-rev> <workload> <pairs> <first-seed>
 #
 # e.g. `bash scripts/bench_ab.sh HEAD~1 HEAD enterprise-churn 10 21` takes
-# about 20 × 47 s plus two builds.
+# about 20 × 47 s, two traced runs of a few seconds, plus two builds.
 set -euo pipefail
 
 USAGE="usage: $0 <parent-rev> <change-rev> <workload> <pairs> <first-seed>"
@@ -55,25 +57,35 @@ print("\n".join(v) if isinstance(v, list) else v)' "$WORK/change/BENCHMARK.json"
 mapfile -t COMMAND < <(field command)
 SECONDS_PER_RUN="$(field run_seconds)"
 
-# One run: the result line goes to runs/<side>-<seed>.json, or the file
+# One run: the result line goes to runs/<side>-<name>.json, or the file
 # stays absent when the run gives none.
+#   run <side> <name> <seed> <seconds> <trace>
 run() {
-    local side="$1" seed="$2" out
+    local side="$1" name="$2" seed="$3" seconds="$4" trace="$5" out
     out="$(cd "$WORK/$side" && "${COMMAND[@]}" --workload "$WORKLOAD" --seed "$seed" \
-        --seconds "$SECONDS_PER_RUN" --trace 0 2>"$WORK/runs/$side-$seed.err" | tail -n 1)" || true
+        --seconds "$seconds" --trace "$trace" 2>"$WORK/runs/$side-$name.err" | tail -n 1)" || true
     case "$out" in
-        "{"*) printf '%s\n' "$out" > "$WORK/runs/$side-$seed.json" ;;
-        *) echo "  $side seed $seed gave no result line; stderr:" >&2
-           tail -n 5 "$WORK/runs/$side-$seed.err" >&2 ;;
+        "{"*) printf '%s\n' "$out" > "$WORK/runs/$side-$name.json" ;;
+        *) echo "  $side run $name gave no result line; stderr:" >&2
+           tail -n 5 "$WORK/runs/$side-$name.err" >&2 ;;
     esac
 }
 
 for ((k = 0; k < PAIRS; k++)); do
     seed=$((FIRST_SEED + k))
     echo "pair $((k + 1))/$PAIRS: $WORKLOAD seed $seed, ${SECONDS_PER_RUN} s per run" >&2
-    if ((k % 2 == 0)); then run parent "$seed"; run change "$seed"
-    else run change "$seed"; run parent "$seed"; fi
+    if ((k % 2 == 0)); then
+        run parent "$seed" "$seed" "$SECONDS_PER_RUN" 0
+        run change "$seed" "$seed" "$SECONDS_PER_RUN" 0
+    else
+        run change "$seed" "$seed" "$SECONDS_PER_RUN" 0
+        run parent "$seed" "$seed" "$SECONDS_PER_RUN" 0
+    fi
 done
+
+echo "traced runs: $WORKLOAD seed $FIRST_SEED, 1 s per run" >&2
+run parent trace "$FIRST_SEED" 1 1
+run change trace "$FIRST_SEED" 1 1
 
 python3 - "$WORK/change/BENCHMARK.json" "$WORK/runs" "$PAIRS" "$FIRST_SEED" \
     "$PARENT" "$CHANGE" "$WORKLOAD" <<'EOF'
@@ -83,8 +95,8 @@ bench_path, runs, pairs, first_seed, parent, change, workload = sys.argv[1:]
 bench = json.load(open(bench_path))
 seeds = range(int(first_seed), int(first_seed) + int(pairs))
 
-def load(side, seed):
-    path = os.path.join(runs, f"{side}-{seed}.json")
+def load(side, name):
+    path = os.path.join(runs, f"{side}-{name}.json")
     return json.load(open(path)) if os.path.exists(path) else None
 
 results = {side: {s: load(side, s) for s in seeds} for side in ("parent", "change")}
@@ -142,4 +154,20 @@ for side in ("parent", "change"):
     incorrect = sum(1 for r in got if not r["correct"])
     print(f"{side}: failed/attempted {failed}/{attempted}; "
           f"{len(got)}/{len(seeds)} runs gave a result line, {incorrect} not correct")
+
+print()
+traced = {side: load(side, "trace") for side in ("parent", "change")}
+print(f"traced layers (seed {seeds.start}, 1 s per run), parent / change:")
+for metric in bench["per_layer"]:
+    name = metric["name"]
+    p, c = (traced[side]["metrics"].get(name, {}).get("value") if traced[side] else None
+            for side in ("parent", "change"))
+    rel = f"{(c - p) / p * 100:+.1f}%" if p and c is not None else ""
+    cell = f"{fmt(p) if p is not None else '-'} / {fmt(c) if c is not None else '-'}"
+    print(f"{name:<34} {cell:<28} {rel:>8}  ({metric['unit']}, {metric['better']} is better)")
+for side in ("parent", "change"):
+    t = traced[side]
+    state = (f"failed/attempted {t['failed']}/{t['attempted']}, correct {t['correct']}"
+             if t else "gave no result line")
+    print(f"{side} traced run: {state}")
 EOF
