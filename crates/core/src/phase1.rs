@@ -85,14 +85,21 @@ pub fn phase1_utilities(net: &Network) -> Result<Matrix, CoreError> {
 /// As [`phase1_utilities`].
 pub fn phase1_utilities_with(net: &Network, utility: Phase1Utility) -> Result<Matrix, CoreError> {
     let a = net.extenders() as f64;
-    let m = Matrix::from_fn(net.users(), net.extenders(), |i, j| match net.rate(i, j) {
-        Some(r) => match utility {
-            Phase1Utility::Paper => r.min(net.capacity(j) / a).value(),
-            Phase1Utility::WifiOnly => r.value(),
-            Phase1Utility::PlcShareOnly => (net.capacity(j) / a).value(),
-        },
-        None => f64::NEG_INFINITY,
-    })?;
+    let shares: Vec<f64> = net.capacities().iter().map(|&c| (c / a).value()).collect();
+    let mut m = Matrix::filled(net.users(), net.extenders(), f64::NEG_INFINITY)?;
+    for i in 0..net.users() {
+        let cells = m.row_mut(i).iter_mut().zip(net.rates().row(i)).zip(&shares);
+        for ((u, &r), &share) in cells {
+            // A usable rate, as `Network::rate` has it; the rest stay -inf.
+            if Mbps::new(r).is_usable() {
+                *u = match utility {
+                    Phase1Utility::Paper => r.min(share),
+                    Phase1Utility::WifiOnly => r,
+                    Phase1Utility::PlcShareOnly => share,
+                };
+            }
+        }
+    }
     Ok(m)
 }
 

@@ -209,10 +209,11 @@ fn packed_row(row: &[f64], supports: &Supports) -> Vec<f64> {
 
 /// A row and the coordinates its simplex spans, drawn to reach every
 /// branch of the projection: ties, signed zeros, rows already on the
-/// simplex (the fast path), a single listed coordinate, and unlisted
-/// coordinates holding non-zero values.
+/// simplex (the fast path), a single listed coordinate, unlisted
+/// coordinates holding non-zero values, and rows on both sides of the
+/// 16 values the kernel sorts with its network.
 fn indexed_projection_case(rng: &mut ChaCha8Rng) -> (Vec<f64>, Vec<usize>) {
-    let n = rng.gen_range(1..=16usize);
+    let n = rng.gen_range(1..=40usize);
     let mut active: Vec<usize> = if rng.gen_range(0..5u32) == 0 {
         vec![rng.gen_range(0..n)]
     } else {

@@ -8,20 +8,25 @@
 # interquartile range; then every pair's values, and failed/attempted
 # events per side. After the pairs it runs each side once more, traced
 # (`--seconds 1 --trace 1`, first seed), and prints every per-layer
-# metric of BENCHMARK.json as parent / change. Writes nothing in the
-# checkout. Run nothing else on the machine while it times.
+# metric of BENCHMARK.json as parent / change. Any arguments after the
+# first five go to every perfbench run of both sides, timed and traced
+# alike. Writes nothing in the checkout. Run nothing else on the machine
+# while it times.
 #
-#   bash scripts/bench_ab.sh <parent-rev> <change-rev> <workload> <pairs> <first-seed>
+#   bash scripts/bench_ab.sh <parent-rev> <change-rev> <workload> <pairs> <first-seed> [perfbench-arg...]
 #
 # e.g. `bash scripts/bench_ab.sh HEAD~1 HEAD enterprise-churn 10 21` takes
-# about 20 × 47 s, two traced runs of a few seconds, plus two builds.
+# about 20 × 47 s, two traced runs of a few seconds, plus two builds;
+# appending `--scenario-seed 1` runs the same pairs on the churn site of
+# scenario seed 1 instead of the workload's default site.
 set -euo pipefail
 
-USAGE="usage: $0 <parent-rev> <change-rev> <workload> <pairs> <first-seed>"
-[ "$#" -eq 5 ] || { echo "$USAGE" >&2; exit 2; }
+USAGE="usage: $0 <parent-rev> <change-rev> <workload> <pairs> <first-seed> [perfbench-arg...]"
+[ "$#" -ge 5 ] || { echo "$USAGE" >&2; exit 2; }
 WORKLOAD="$3"
 PAIRS="$4"
 FIRST_SEED="$5"
+EXTRA=("${@:6}")
 [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]] || { echo "pairs must be a positive whole number" >&2; exit 2; }
 [[ "$FIRST_SEED" =~ ^[0-9]+$ ]] || { echo "first-seed must be a whole number" >&2; exit 2; }
 
@@ -63,7 +68,8 @@ SECONDS_PER_RUN="$(field run_seconds)"
 run() {
     local side="$1" name="$2" seed="$3" seconds="$4" trace="$5" out
     out="$(cd "$WORK/$side" && "${COMMAND[@]}" --workload "$WORKLOAD" --seed "$seed" \
-        --seconds "$seconds" --trace "$trace" 2>"$WORK/runs/$side-$name.err" | tail -n 1)" || true
+        --seconds "$seconds" --trace "$trace" "${EXTRA[@]}" \
+        2>"$WORK/runs/$side-$name.err" | tail -n 1)" || true
     case "$out" in
         "{"*) printf '%s\n' "$out" > "$WORK/runs/$side-$name.json" ;;
         *) echo "  $side run $name gave no result line; stderr:" >&2
@@ -88,10 +94,10 @@ run parent trace "$FIRST_SEED" 1 1
 run change trace "$FIRST_SEED" 1 1
 
 python3 - "$WORK/change/BENCHMARK.json" "$WORK/runs" "$PAIRS" "$FIRST_SEED" \
-    "$PARENT" "$CHANGE" "$WORKLOAD" <<'EOF'
+    "$PARENT" "$CHANGE" "$WORKLOAD" "${EXTRA[*]}" <<'EOF'
 import json, os, statistics, sys
 
-bench_path, runs, pairs, first_seed, parent, change, workload = sys.argv[1:]
+bench_path, runs, pairs, first_seed, parent, change, workload, extra = sys.argv[1:]
 bench = json.load(open(bench_path))
 seeds = range(int(first_seed), int(first_seed) + int(pairs))
 
@@ -111,7 +117,8 @@ def fmt(v):
     return f"{v:.6g}"
 
 print(f"{workload}: parent {parent[:12]} vs change {change[:12]}, "
-      f"seeds {seeds.start}-{seeds.stop - 1}, {bench['run_seconds']} s per run")
+      f"seeds {seeds.start}-{seeds.stop - 1}, {bench['run_seconds']} s per run"
+      + (f", perfbench args: {extra}" if extra else ""))
 print(f"{'metric':<17} {'parent median (q1-q3)':<36} {'change median (q1-q3)':<36} "
       f"{'d median':>9} {'won':>14}  gain > parent IQR")
 for metric in bench["end_to_end"]:
