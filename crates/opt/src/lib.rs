@@ -9,11 +9,13 @@
 //!
 //! * [`hungarian`] — a rectangular maximum-weight assignment solver built on
 //!   the O(n³) shortest-augmenting-path (Jonker–Volgenant style) Hungarian
-//!   algorithm with dual potentials.
+//!   algorithm with dual potentials, run over one flat cost table whose
+//!   rows are the smaller side.
 //! * [`simplex`] — exact Euclidean projection onto the probability simplex,
 //!   and [`Supports`], the packed layout of a block of simplex rows that
 //!   each span only their allowed coordinates (a user's reachable
-//!   extenders).
+//!   extenders). The solver's in-place kernel sorts a row of at most 16
+//!   values with a fixed sorting network on the stack.
 //! * [`gradient`] — a projected-gradient ascent solver with Armijo
 //!   backtracking over per-row simplices, the stand-in for the paper's
 //!   interior-point solver (same feasible set and stopping rule, plus an

@@ -152,24 +152,6 @@ impl Matrix {
         }
     }
 
-    /// Iterator over `(row, col, value)` triples in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let cols = self.cols;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(k, &v)| (k / cols, k % cols, v))
-    }
-
-    /// Largest finite value in the matrix, or `None` if no cell is finite.
-    pub fn max_finite(&self) -> Option<f64> {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
     /// Transposed copy of the matrix.
     pub fn transposed(&self) -> Matrix {
         let mut data = vec![0.0; self.data.len()];
@@ -316,27 +298,6 @@ mod tests {
         assert_eq!(m.get(1, 1), Some(0.0));
         assert_eq!(m.get(2, 0), None);
         assert_eq!(m.get(0, 2), None);
-    }
-
-    #[test]
-    fn max_finite_skips_infinities() {
-        let m = Matrix::from_rows(&[vec![f64::NEG_INFINITY, 3.0], vec![1.0, f64::NAN]]).unwrap();
-        assert_eq!(m.max_finite(), Some(3.0));
-    }
-
-    #[test]
-    fn max_finite_none_when_all_nonfinite() {
-        let m = Matrix::from_rows(&[vec![f64::INFINITY, f64::NAN]]).unwrap();
-        assert_eq!(m.max_finite(), None);
-    }
-
-    #[test]
-    fn iter_visits_all_cells_in_row_major_order() {
-        let m = Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f64).unwrap();
-        let triples: Vec<_> = m.iter().collect();
-        assert_eq!(triples.len(), 6);
-        assert_eq!(triples[0], (0, 0, 0.0));
-        assert_eq!(triples[4], (1, 1, 4.0));
     }
 
     #[test]
