@@ -254,7 +254,15 @@ fn run_to_completion(
                 let scenario = Arc::clone(scenario);
                 let retry = retry.clone();
                 std::thread::spawn(move || {
-                    run_agent_with(addr.as_str(), &scenario, client, "chaos-agent", &retry)
+                    run_agent_with(
+                        addr.as_str(),
+                        &scenario,
+                        None,
+                        client,
+                        "chaos-agent",
+                        &retry,
+                        1,
+                    )
                 })
             })
             .collect();

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use wolt_daemon::wire::FleetOp;
 use wolt_daemon::{
-    run_agent_burst, wire, AgentRetry, DaemonConfig, DaemonError, DaemonOutcome, Envelope, Fleet,
+    run_agent_with, wire, AgentRetry, DaemonConfig, DaemonError, DaemonOutcome, Envelope, Fleet,
     FleetSpec, SiteDef,
 };
 use wolt_sim::scenario::ScenarioConfig;
@@ -271,7 +271,7 @@ pub fn agent(
     burst: u32,
 ) -> Result<String, CliError> {
     let scenario = scenario_for(preset, users, seed)?;
-    let outcome = run_agent_burst(
+    let outcome = run_agent_with(
         addr,
         &scenario,
         site,

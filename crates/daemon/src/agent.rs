@@ -15,6 +15,11 @@
 //! the agent reconnects and re-adopts whatever state the (possibly
 //! rolled-back) controller hands it. Only an exhausted budget surfaces,
 //! as the typed [`DaemonError::GaveUp`].
+//!
+//! [`run_agent_with`] is the one agent loop: it takes the site the hello
+//! names, the reconnect policy and the report burst. [`run_agent`] runs
+//! it with a site-less hello, the default policy and one report per
+//! join.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -144,8 +149,8 @@ pub struct AgentOutcome {
     pub directives_applied: usize,
 }
 
-/// Runs one agent to completion with the default reconnect policy: see
-/// [`run_agent_with`].
+/// Runs one agent to completion with the default reconnect policy, a
+/// site-less hello and one report per join: see [`run_agent_with`].
 ///
 /// # Errors
 ///
@@ -156,31 +161,15 @@ pub fn run_agent(
     client: usize,
     name: &str,
 ) -> Result<AgentOutcome, DaemonError> {
-    run_agent_with(addr, scenario, client, name, &AgentRetry::default())
-}
-
-/// Runs one agent against a *fleet*: identical to [`run_agent_with`],
-/// but the hello names `site`, so a multi-site daemon can route the
-/// connection to the segment that owns this client. A site-less hello
-/// ([`run_agent`]/[`run_agent_with`]) and a single-site daemon remain
-/// byte-compatible with each other; use this entry point only when the
-/// server is a fleet.
-///
-/// # Errors
-///
-/// As [`run_agent_with`], plus [`DaemonError::SiteGone`] when the fleet
-/// does not host (or no longer hosts) `site` — fatal, not retried,
-/// because a drained or removed site never comes back under the same
-/// address.
-pub fn run_site_agent(
-    addr: impl ToSocketAddrs,
-    scenario: &Scenario,
-    site: &str,
-    client: usize,
-    name: &str,
-    retry: &AgentRetry,
-) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, Some(site), client, name, retry, 1)
+    run_agent_with(
+        addr,
+        scenario,
+        None,
+        client,
+        name,
+        &AgentRetry::default(),
+        1,
+    )
 }
 
 /// Runs one agent to completion: connect (with `retry`'s bounded
@@ -194,48 +183,25 @@ pub fn run_site_agent(
 /// the same one the daemon runs (both sides regenerate it from the same
 /// seed), since the agent's scan rates come from it.
 ///
+/// `site` names the agent's site in the hello, so a multi-site server
+/// routes the connection to the segment that owns this client. `None`
+/// sends the site-less hello a single-site [`crate::Daemon`] expects,
+/// byte-identical to the handshake from before sites existed.
+///
+/// `burst` is a load-shape knob for the daemon's telemetry coalescing:
+/// the agent answers every join with `burst` identical scan reports
+/// instead of one. Any burst is protocol-safe (the controller dedups
+/// repeated reports by epoch), and `burst <= 1` sends one.
+///
 /// # Errors
 ///
 /// [`DaemonError::GaveUp`] when a reconnect round exhausts
 /// `retry.attempts`; [`DaemonError::InvalidConfig`] for an out-of-range
 /// client index; [`DaemonError::Protocol`] when the daemon violates the
-/// handshake.
+/// handshake; [`DaemonError::SiteGone`] when the server does not host
+/// (or no longer hosts) `site` — fatal, not retried, because a drained
+/// or removed site never comes back under the same address.
 pub fn run_agent_with(
-    addr: impl ToSocketAddrs,
-    scenario: &Scenario,
-    client: usize,
-    name: &str,
-    retry: &AgentRetry,
-) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, None, client, name, retry, 1)
-}
-
-/// Runs one agent that answers every join with a *burst* of `burst`
-/// identical scan reports instead of one — a load-shape knob for
-/// exercising the daemon's telemetry-coalescing path. Protocol-safe at
-/// any burst size (the controller dedups repeated reports by epoch);
-/// `burst <= 1` is byte-identical to [`run_agent_with`] /
-/// [`run_site_agent`].
-///
-/// # Errors
-///
-/// As [`run_agent_with`] (and, when `site` is set,
-/// [`run_site_agent`]).
-pub fn run_agent_burst(
-    addr: impl ToSocketAddrs,
-    scenario: &Scenario,
-    site: Option<&str>,
-    client: usize,
-    name: &str,
-    retry: &AgentRetry,
-    burst: u32,
-) -> Result<AgentOutcome, DaemonError> {
-    run_agent_sited(addr, scenario, site, client, name, retry, burst)
-}
-
-/// The shared agent loop behind [`run_agent_with`] (site-less),
-/// [`run_site_agent`] (sited), and [`run_agent_burst`] (bursty).
-fn run_agent_sited(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
     site: Option<&str>,

@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use wolt_sim::Scenario;
 use wolt_support::pool::TaskPool;
 use wolt_support::{crash_point, obs};
-use wolt_testbed::codec::ReadPatience;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
     check_session, coalesce_frames, estimate_capacities, ControllerConfig, ControllerCore,
@@ -53,8 +52,8 @@ pub const CRASH_PRE_SNAPSHOT: &str = "daemon.epoch.pre_snapshot";
 /// daemon resumes at the next event with zero replay.
 pub const CRASH_POST_SNAPSHOT: &str = "daemon.epoch.post_snapshot";
 
-/// The polling tick used when `read_stall` arms patient reads: the
-/// socket read timeout under the stall budget.
+/// The socket read timeout of a connection reader: the polling tick
+/// that counts out `read_stall` and lets an idle reader see `stop`.
 const READ_TICK: Duration = Duration::from_millis(25);
 
 /// How long one connect-wait [`SessionEngine::step`] blocks on the inbox
@@ -607,7 +606,7 @@ impl SessionEngine {
             };
             match self.writers[client]
                 .as_mut()
-                .map(|w| wire::send_counted(w, &envelope))
+                .map(|w| wire::send(w, &envelope))
             {
                 Some(Ok(sent)) => note_frame_out(sent),
                 _ => {
@@ -627,7 +626,7 @@ impl SessionEngine {
     pub fn dismiss_agents(&mut self) {
         self.teardown_started.get_or_insert_with(Instant::now);
         for w in self.writers.iter_mut().flatten() {
-            if let Ok(sent) = wire::send_counted(w, &Envelope::Agent(ToAgent::Shutdown)) {
+            if let Ok(sent) = wire::send(w, &Envelope::Agent(ToAgent::Shutdown)) {
                 note_frame_out(sent);
             }
             let _ = w.flush();
@@ -715,11 +714,11 @@ pub enum HelloDecision {
 /// metrics and fleet queries) and returns whether to keep serving the
 /// connection.
 ///
-/// When `read_stall` is nonzero the socket read is *patient*: idling
-/// between frames is free (and ends cleanly once `stop` is set, so a
-/// silent control connection cannot hang teardown), but a peer that
-/// stalls mid-frame past the budget loses the connection and is counted
-/// in `daemon.read_timeouts`.
+/// Reads are patient: idling between frames is free (and ends cleanly
+/// once `stop` is set, so a silent control connection cannot hang
+/// teardown), but a peer that stalls mid-frame for longer than
+/// `read_stall` loses the connection and is counted in
+/// `daemon.read_timeouts`.
 pub fn serve_connection(
     mut stream: TcpStream,
     stop: &Arc<AtomicBool>,
@@ -728,27 +727,13 @@ pub fn serve_connection(
     control: &dyn Fn(&mut TcpStream, Envelope) -> bool,
 ) {
     let _ = stream.set_nodelay(true);
-    let patient = !read_stall.is_zero();
-    let mid_frame_stalls = if patient {
-        let _ = stream.set_read_timeout(Some(READ_TICK));
-        (read_stall.as_millis() / READ_TICK.as_millis()).max(1) as u32
-    } else {
-        0
-    };
-    let recv = |stream: &mut TcpStream| -> std::io::Result<Option<(Envelope, usize)>> {
-        if !patient {
-            return wire::recv_counted(stream);
-        }
-        let mut keep_waiting = || !stop.load(Ordering::Relaxed);
-        let mut patience = ReadPatience {
-            keep_waiting: &mut keep_waiting,
-            mid_frame_stalls,
-        };
-        let result = wire::recv_counted_patient(stream, &mut patience);
-        if let Err(e) = &result {
-            if e.kind() == std::io::ErrorKind::TimedOut {
-                obs::counter_inc("daemon.read_timeouts");
-            }
+    let _ = stream.set_read_timeout(Some(READ_TICK));
+    let mid_frame_stalls = u32::try_from(read_stall.as_millis() / READ_TICK.as_millis())
+        .map_or(u32::MAX, |n| n.max(1));
+    let recv = |stream: &mut TcpStream| {
+        let result = wire::recv_patient(stream, stop, mid_frame_stalls);
+        if matches!(&result, Err(e) if e.kind() == std::io::ErrorKind::TimedOut) {
+            obs::counter_inc("daemon.read_timeouts");
         }
         result
     };
@@ -762,7 +747,7 @@ pub fn serve_connection(
                 match route(client, site.as_deref()) {
                     HelloDecision::Accept { sender, attached } => {
                         note_frame_in(bytes);
-                        match wire::send_counted(&mut stream, &Envelope::HelloAck { attached }) {
+                        match wire::send(&mut stream, &Envelope::HelloAck { attached }) {
                             Ok(sent) => note_frame_out(sent),
                             Err(_) => return,
                         }
@@ -770,7 +755,7 @@ pub fn serve_connection(
                     }
                     HelloDecision::Reject(reply) => {
                         note_frame_in(bytes);
-                        if let Ok(sent) = wire::send_counted(&mut stream, &reply) {
+                        if let Ok(sent) = wire::send(&mut stream, &reply) {
                             note_frame_out(sent);
                         }
                         return;
@@ -862,7 +847,7 @@ pub fn spawn_acceptor(
                         obs::counter_inc("daemon.conns_rejected");
                         pool.execute(move || {
                             let _ = stream.set_nodelay(true);
-                            if let Ok(sent) = wire::send_counted(
+                            if let Ok(sent) = wire::send(
                                 &mut stream,
                                 &Envelope::Busy {
                                     limit: max_connections as u64,

@@ -4,8 +4,8 @@
 //! talk to over the network. The in-process testbed
 //! ([`wolt_testbed::rig`]) emulates that with threads and channels; this
 //! crate runs it for real: one TCP server ([`server`]) speaking a
-//! length-prefixed JSON wire protocol ([`wire`]), an agent client
-//! ([`agent::run_agent`]) for the laptop side, and a crash-safe
+//! length-prefixed JSON wire protocol, an agent client ([`run_agent`],
+//! [`run_agent_with`]) for the laptop side, and a crash-safe
 //! generational snapshot store ([`store::SnapshotStore`]) so a restarted
 //! — or killed — controller resumes mid-session without re-issuing
 //! directives, rolling back over torn writes to the newest generation
@@ -37,6 +37,10 @@
 //! both transports feed the identical driver the identical inputs in the
 //! identical order.
 //!
+//! The wire format has one home, [`wire`]: the envelope, the JSON of
+//! the testbed's protocol messages, the framing, and the two public
+//! calls that move frames, [`wire::send`] and [`wire::recv`].
+//!
 //! Hermetic like the rest of the workspace: `std::net` only, no external
 //! crates.
 
@@ -56,9 +60,7 @@ pub mod wire;
 
 mod error;
 
-pub use agent::{
-    run_agent, run_agent_burst, run_agent_with, run_site_agent, AgentOutcome, AgentRetry,
-};
+pub use agent::{run_agent, run_agent_with, AgentOutcome, AgentRetry};
 pub use engine::{EngineStep, Incoming, SessionEngine};
 pub use error::{DaemonError, SnapshotCorrupt};
 pub use server::{Daemon, DaemonConfig, DaemonOutcome, DaemonStats, Fleet, FleetOutcome, SiteDef};
@@ -79,6 +81,6 @@ pub fn crash_catalogue() -> Vec<(&'static str, u64)> {
         (store::CRASH_PRE_PRUNE, 3),
         (server::CRASH_PRE_SNAPSHOT, 3),
         (server::CRASH_POST_SNAPSHOT, 3),
-        (wolt_testbed::codec::CRASH_MID_FRAME, 5),
+        (wire::CRASH_MID_FRAME, 5),
     ]
 }

@@ -146,8 +146,8 @@ pub struct DaemonConfig {
     /// never shed and shed nothing). `0` means unbounded.
     pub inbox_cap: usize,
     /// How long a peer may stall *mid-frame* before its connection is
-    /// dropped (idle between frames is always allowed). `Duration::ZERO`
-    /// disables the deadline (fully blocking reads).
+    /// dropped (idle between frames is always allowed). Counted in the
+    /// connection readers' 25 ms read ticks, at least one.
     pub read_stall: Duration,
     /// Most shard threads stepping the sites (never more than there are
     /// sites); `0` resolves like the rest of the workspace
@@ -578,7 +578,7 @@ impl Server {
             },
             _ => return false,
         };
-        match wire::send_counted(stream, &reply) {
+        match wire::send(stream, &reply) {
             Ok(sent) => {
                 engine::note_frame_out(sent);
                 true

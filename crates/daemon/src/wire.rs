@@ -1,26 +1,55 @@
-//! The daemon's wire envelope: the protocol enums of
-//! [`wolt_testbed::protocol`] plus the connection-level messages TCP
-//! needs (handshake, restore handoff, operator shutdown).
+//! The daemon's wire format, in one place: the [`Envelope`], the JSON of
+//! every message it carries, and the length-prefixed framing.
 //!
-//! The in-process rig needs no handshake — channel identity *is* client
+//! The in-process rig moves the [`wolt_testbed::protocol`] enums over
+//! mpsc channels and needs no encoding. The daemon moves the same enums
+//! over TCP inside an envelope, which adds what a socket needs: the
+//! handshake, the restore handoff, the overload refusal, operator stop,
+//! and metrics and fleet operations.
+//!
+//! The rig needs no handshake, since channel identity *is* client
 //! identity. Over TCP the daemon learns who connected from the first
 //! frame ([`Envelope::Hello`]) and answers with the client's last known
 //! attachment ([`Envelope::HelloAck`]), which is how a restarted daemon
 //! hands a reconnecting agent its pre-crash state (the data plane — the
 //! radio association — survives a controller reboot).
 //!
-//! Every envelope serializes to a `{"t": ...}` tagged object through the
-//! deterministic `wolt_support::json` encoder and travels as one
-//! length-prefixed frame (see [`wolt_testbed::codec`]).
+//! # Format
+//!
+//! An envelope is a `{"t": ...}` tagged JSON object; a protocol message
+//! rides under `"m"` as another tagged object. One frame is a 4-byte
+//! big-endian length prefix followed by the compact JSON body. The
+//! `wolt_support::json` encoder is deterministic (insertion-ordered
+//! keys, shortest-round-trip floats), so equal messages always encode
+//! to identical bytes: wire traffic is diffable and replayable.
+//!
+//! [`send`] writes one frame. [`recv`] reads one and treats a socket
+//! timeout as an error, which is how a client bounds its wait for a
+//! reply. The server's connection readers use a read timeout as a
+//! polling tick instead: they wait through idle time between frames but
+//! drop a peer that stalls mid-frame.
+//!
+//! The protocol enums belong to `wolt-testbed`, so the orphan rule keeps
+//! their JSON here as private functions rather than `ToJson`/`FromJson`
+//! impls.
 
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 use wolt_support::obs::ObsSnapshot;
-use wolt_testbed::codec::{
-    read_frame_counted, read_frame_counted_patient, write_frame_counted, ReadPatience,
-};
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
+use wolt_units::Mbps;
+
+/// Hard cap on one frame's payload, over which a read rejects the stream
+/// as corrupt: no protocol message comes close, and a garbage length
+/// prefix must not trigger a giant allocation.
+pub const MAX_FRAME_BYTES: usize = 1 << 24;
+
+/// Crash point between a frame's length prefix and its body (see
+/// [`wolt_support::crash`]): an armed abort here leaves the peer holding
+/// a torn frame, the wire-level analogue of a torn snapshot write.
+pub const CRASH_MID_FRAME: &str = "codec.write.mid_frame";
 
 /// One daemon wire message.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,11 +347,15 @@ impl ToJson for Envelope {
             Envelope::Busy { limit } => {
                 Json::obj([("t", Json::Str("busy".into())), ("limit", limit.to_json())])
             }
-            Envelope::Ctrl(m) => Json::obj([("t", Json::Str("ctrl".into())), ("m", m.to_json())]),
-            Envelope::Client(m) => {
-                Json::obj([("t", Json::Str("client".into())), ("m", m.to_json())])
+            Envelope::Ctrl(m) => {
+                Json::obj([("t", Json::Str("ctrl".into())), ("m", ctrl_to_json(m))])
             }
-            Envelope::Agent(m) => Json::obj([("t", Json::Str("agent".into())), ("m", m.to_json())]),
+            Envelope::Client(m) => {
+                Json::obj([("t", Json::Str("client".into())), ("m", client_to_json(m))])
+            }
+            Envelope::Agent(m) => {
+                Json::obj([("t", Json::Str("agent".into())), ("m", agent_to_json(m))])
+            }
             Envelope::Shutdown { reason } => Json::obj([
                 ("t", Json::Str("stop".into())),
                 ("reason", Json::Str(reason.clone())),
@@ -361,11 +394,7 @@ impl ToJson for Envelope {
 
 impl FromJson for Envelope {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let tag = value
-            .field("t")?
-            .as_str()
-            .ok_or_else(|| JsonError::shape("envelope tag must be a string"))?;
-        match tag {
+        match tag(value)? {
             "hello" => Ok(Envelope::Hello {
                 client: usize::from_json(value.field("client")?)?,
                 name: String::from_json(value.field("name")?)?,
@@ -381,9 +410,9 @@ impl FromJson for Envelope {
             "busy" => Ok(Envelope::Busy {
                 limit: u64::from_json(value.field("limit")?)?,
             }),
-            "ctrl" => Ok(Envelope::Ctrl(ToController::from_json(value.field("m")?)?)),
-            "client" => Ok(Envelope::Client(ToClient::from_json(value.field("m")?)?)),
-            "agent" => Ok(Envelope::Agent(ToAgent::from_json(value.field("m")?)?)),
+            "ctrl" => Ok(Envelope::Ctrl(ctrl_from_json(value.field("m")?)?)),
+            "client" => Ok(Envelope::Client(client_from_json(value.field("m")?)?)),
+            "agent" => Ok(Envelope::Agent(agent_from_json(value.field("m")?)?)),
             "stop" => Ok(Envelope::Shutdown {
                 reason: String::from_json(value.field("reason")?)?,
             }),
@@ -409,78 +438,309 @@ impl FromJson for Envelope {
     }
 }
 
-/// Writes one envelope as a length-prefixed frame.
+/// Reads the `"t"` tag of an envelope or protocol message object.
+fn tag(value: &Json) -> Result<&str, JsonError> {
+    value
+        .field("t")?
+        .as_str()
+        .ok_or_else(|| JsonError::shape("message tag must be a string"))
+}
+
+fn rates_to_json(rates: &[Option<Mbps>]) -> Json {
+    Json::Arr(
+        rates
+            .iter()
+            .map(|r| match r {
+                Some(m) => Json::Num(m.value()),
+                None => Json::Null,
+            })
+            .collect(),
+    )
+}
+
+fn rates_from_json(value: &Json) -> Result<Vec<Option<Mbps>>, JsonError> {
+    value
+        .as_arr()
+        .ok_or_else(|| JsonError::shape("rates must be an array"))?
+        .iter()
+        .map(|r| {
+            if r.is_null() {
+                Ok(None)
+            } else {
+                r.as_f64()
+                    .map(|v| Some(Mbps::new(v)))
+                    .ok_or_else(|| JsonError::shape("rate must be a number or null"))
+            }
+        })
+        .collect()
+}
+
+fn ctrl_to_json(msg: &ToController) -> Json {
+    match msg {
+        ToController::Report {
+            client,
+            epoch,
+            rates,
+            attached,
+        } => Json::obj([
+            ("t", Json::Str("report".into())),
+            ("client", client.to_json()),
+            ("epoch", epoch.to_json()),
+            ("rates", rates_to_json(rates)),
+            ("attached", attached.to_json()),
+        ]),
+        ToController::Ack {
+            client,
+            seq,
+            extender,
+        } => Json::obj([
+            ("t", Json::Str("ack".into())),
+            ("client", client.to_json()),
+            ("seq", seq.to_json()),
+            ("extender", extender.to_json()),
+        ]),
+        ToController::Departed { client, epoch } => Json::obj([
+            ("t", Json::Str("departed".into())),
+            ("client", client.to_json()),
+            ("epoch", epoch.to_json()),
+        ]),
+    }
+}
+
+fn ctrl_from_json(value: &Json) -> Result<ToController, JsonError> {
+    match tag(value)? {
+        "report" => Ok(ToController::Report {
+            client: usize::from_json(value.field("client")?)?,
+            epoch: u64::from_json(value.field("epoch")?)?,
+            rates: rates_from_json(value.field("rates")?)?,
+            attached: usize::from_json(value.field("attached")?)?,
+        }),
+        "ack" => Ok(ToController::Ack {
+            client: usize::from_json(value.field("client")?)?,
+            seq: u64::from_json(value.field("seq")?)?,
+            extender: usize::from_json(value.field("extender")?)?,
+        }),
+        "departed" => Ok(ToController::Departed {
+            client: usize::from_json(value.field("client")?)?,
+            epoch: u64::from_json(value.field("epoch")?)?,
+        }),
+        other => Err(JsonError::shape(format!(
+            "unknown ToController tag {other:?}"
+        ))),
+    }
+}
+
+fn client_to_json(msg: &ToClient) -> Json {
+    match msg {
+        ToClient::Directive {
+            extender,
+            seq,
+            attempt,
+        } => Json::obj([
+            ("t", Json::Str("directive".into())),
+            ("extender", extender.to_json()),
+            ("seq", seq.to_json()),
+            ("attempt", attempt.to_json()),
+        ]),
+        ToClient::Shutdown => Json::obj([("t", Json::Str("shutdown".into()))]),
+    }
+}
+
+fn client_from_json(value: &Json) -> Result<ToClient, JsonError> {
+    match tag(value)? {
+        "directive" => Ok(ToClient::Directive {
+            extender: usize::from_json(value.field("extender")?)?,
+            seq: u64::from_json(value.field("seq")?)?,
+            attempt: u32::from_json(value.field("attempt")?)?,
+        }),
+        "shutdown" => Ok(ToClient::Shutdown),
+        other => Err(JsonError::shape(format!("unknown ToClient tag {other:?}"))),
+    }
+}
+
+fn agent_to_json(msg: &ToAgent) -> Json {
+    match msg {
+        ToAgent::Join { epoch, attempt } => Json::obj([
+            ("t", Json::Str("join".into())),
+            ("epoch", epoch.to_json()),
+            ("attempt", attempt.to_json()),
+        ]),
+        ToAgent::Leave { epoch, attempt } => Json::obj([
+            ("t", Json::Str("leave".into())),
+            ("epoch", epoch.to_json()),
+            ("attempt", attempt.to_json()),
+        ]),
+        ToAgent::Shutdown => Json::obj([("t", Json::Str("shutdown".into()))]),
+    }
+}
+
+fn agent_from_json(value: &Json) -> Result<ToAgent, JsonError> {
+    match tag(value)? {
+        "join" => Ok(ToAgent::Join {
+            epoch: u64::from_json(value.field("epoch")?)?,
+            attempt: u32::from_json(value.field("attempt")?)?,
+        }),
+        "leave" => Ok(ToAgent::Leave {
+            epoch: u64::from_json(value.field("epoch")?)?,
+            attempt: u32::from_json(value.field("attempt")?)?,
+        }),
+        "shutdown" => Ok(ToAgent::Shutdown),
+        other => Err(JsonError::shape(format!("unknown ToAgent tag {other:?}"))),
+    }
+}
+
+/// Writes one envelope as a length-prefixed frame and returns the bytes
+/// put on the wire (prefix and body), so transports can meter traffic.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the underlying writer.
-pub fn send(w: &mut impl Write, envelope: &Envelope) -> io::Result<()> {
-    send_counted(w, envelope).map(|_| ())
+pub fn send(w: &mut impl Write, envelope: &Envelope) -> io::Result<usize> {
+    let body = envelope.to_json().to_compact();
+    let len = u32::try_from(body.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    w.write_all(&len.to_be_bytes())?;
+    wolt_support::crash_point!(CRASH_MID_FRAME);
+    w.write_all(body.as_bytes())?;
+    w.flush()?;
+    Ok(4 + body.len())
 }
 
-/// [`send`], additionally returning the bytes put on the wire so the
-/// daemon can meter its outbound traffic.
+/// Reads one envelope. `Ok(None)` is a cleanly closed connection (end of
+/// stream at a frame boundary).
 ///
 /// # Errors
 ///
-/// As [`send`].
-pub fn send_counted(w: &mut impl Write, envelope: &Envelope) -> io::Result<usize> {
-    write_frame_counted(w, &envelope.to_json())
-}
-
-/// Reads one envelope. `Ok(None)` is a cleanly closed connection.
-///
-/// # Errors
-///
-/// As [`wolt_testbed::codec::read_frame`], plus
-/// [`io::ErrorKind::InvalidData`] when the frame decodes to JSON that is
-/// not a valid envelope.
+/// [`io::ErrorKind::UnexpectedEof`] for a stream truncated mid-frame;
+/// [`io::ErrorKind::InvalidData`] for an oversized length prefix, a
+/// non-UTF-8 body, malformed JSON, or JSON that is not an envelope. A
+/// socket read timeout surfaces as the error the socket returned.
 pub fn recv(r: &mut impl Read) -> io::Result<Option<Envelope>> {
-    recv_counted(r).map(|msg| msg.map(|(envelope, _)| envelope))
+    read_envelope(r, None).map(|frame| frame.map(|(envelope, _)| envelope))
 }
 
-/// [`recv`], additionally returning the bytes consumed from the wire so
-/// the daemon can meter its inbound traffic.
+/// The server's read: one envelope and the bytes it took on the wire,
+/// from a stream whose read timeout is a polling tick. A stall (a read
+/// failing with [`io::ErrorKind::WouldBlock`] or
+/// [`io::ErrorKind::TimedOut`]) is judged by where it falls:
+///
+/// - at a frame boundary, idling is legitimate (a control connection may
+///   sit quiet between metrics polls), so the read waits, and ends as a
+///   clean close (`Ok(None)`) once `stop` is set;
+/// - mid-frame, a peer that sent part of a frame and went quiet is broken
+///   or a slowloris pinning the reader, so more than `mid_frame_stalls`
+///   consecutive stalled ticks fail the read with
+///   [`io::ErrorKind::TimedOut`].
+///
+/// On a blocking stream no stall surfaces and this reads like [`recv`].
 ///
 /// # Errors
 ///
-/// As [`recv`].
-pub fn recv_counted(r: &mut impl Read) -> io::Result<Option<(Envelope, usize)>> {
-    match read_frame_counted(r)? {
-        None => Ok(None),
-        Some((json, bytes)) => Envelope::from_json(&json)
-            .map(|envelope| Some((envelope, bytes)))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad envelope: {e}"))),
-    }
-}
-
-/// [`recv_counted`] over a stream whose read timeout is used as a
-/// polling tick: idle frame boundaries wait under the caller's control,
-/// mid-frame stalls are bounded (see
-/// [`wolt_testbed::codec::ReadPatience`]).
-///
-/// # Errors
-///
-/// As [`recv_counted`], plus [`io::ErrorKind::TimedOut`] when the peer
-/// stalls mid-frame past the budget.
-pub fn recv_counted_patient(
+/// As [`recv`], plus [`io::ErrorKind::TimedOut`] for a mid-frame stall
+/// past the budget.
+pub(crate) fn recv_patient(
     r: &mut impl Read,
-    patience: &mut ReadPatience<'_>,
+    stop: &AtomicBool,
+    mid_frame_stalls: u32,
 ) -> io::Result<Option<(Envelope, usize)>> {
-    match read_frame_counted_patient(r, patience)? {
-        None => Ok(None),
-        Some((json, bytes)) => Envelope::from_json(&json)
-            .map(|envelope| Some((envelope, bytes)))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad envelope: {e}"))),
+    read_envelope(r, Some((stop, mid_frame_stalls)))
+}
+
+/// One frame read and decoded. `patience` is [`recv_patient`]'s stall
+/// policy; without it a stall is an error like any other.
+fn read_envelope(
+    r: &mut impl Read,
+    patience: Option<(&AtomicBool, u32)>,
+) -> io::Result<Option<(Envelope, usize)>> {
+    let mut prefix = [0u8; 4];
+    if !fill(r, &mut prefix, true, patience)? {
+        return Ok(None);
     }
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
+        ));
+    }
+    let mut body = vec![0u8; len];
+    fill(r, &mut body, false, patience)?;
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let text = String::from_utf8(body).map_err(|_| invalid("frame body is not UTF-8".into()))?;
+    let json = Json::parse(&text).map_err(|e| invalid(format!("bad frame JSON: {e}")))?;
+    let envelope = Envelope::from_json(&json).map_err(|e| invalid(format!("bad envelope: {e}")))?;
+    Ok(Some((envelope, 4 + len)))
+}
+
+/// Fills `buf` from `r`. Returns `Ok(false)` for a clean close, which
+/// only a frame's start (`at_start`, before its first byte) allows: end
+/// of stream, or a patient read told to `stop` while idle there. Stalls
+/// count consecutively; any byte read resets the count.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    at_start: bool,
+    patience: Option<(&AtomicBool, u32)>,
+) -> io::Result<bool> {
+    let mut filled = 0;
+    let mut stalls = 0u32;
+    while filled < buf.len() {
+        let idle = at_start && filled == 0;
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if idle => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream truncated inside a frame",
+                ))
+            }
+            Ok(n) => {
+                filled += n;
+                stalls = 0;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                let Some((stop, mid_frame_stalls)) = patience else {
+                    return Err(e);
+                };
+                if idle {
+                    if stop.load(Ordering::Relaxed) {
+                        return Ok(false);
+                    }
+                } else {
+                    stalls += 1;
+                    if stalls > mid_frame_stalls {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "peer stalled mid-frame past the read deadline",
+                        ));
+                    }
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use wolt_support::obs::HistogramSnapshot;
-    use wolt_testbed::codec::write_frame;
-    use wolt_units::Mbps;
+
+    /// A frame around arbitrary JSON, which need not be an envelope.
+    fn raw_frame(json: &Json) -> Vec<u8> {
+        let body = json.to_compact();
+        let mut frame = u32::try_from(body.len()).unwrap().to_be_bytes().to_vec();
+        frame.extend_from_slice(body.as_bytes());
+        frame
+    }
 
     fn round_trip(env: Envelope) {
         let mut buf = Vec::new();
@@ -603,16 +863,11 @@ mod tests {
             },
         )
         .unwrap();
-        let mut old = Vec::new();
-        write_frame(
-            &mut old,
-            &Json::obj([
-                ("t", Json::Str("hello".into())),
-                ("client", Json::Int(2)),
-                ("name", Json::Str("laptop-2".into())),
-            ]),
-        )
-        .unwrap();
+        let old = raw_frame(&Json::obj([
+            ("t", Json::Str("hello".into())),
+            ("client", Json::Int(2)),
+            ("name", Json::Str("laptop-2".into())),
+        ]));
         assert_eq!(buf, old);
     }
 
@@ -651,9 +906,164 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Json::obj([("t", Json::Str("warp".into()))])).unwrap();
+        let buf = raw_frame(&Json::obj([("t", Json::Str("warp".into()))]));
         let mut r = buf.as_slice();
         assert_eq!(recv(&mut r).unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn unknown_tags_are_shape_errors() {
+        // A protocol message with an unknown or missing tag fails the
+        // whole envelope, whichever envelope carries it.
+        for env in ["ctrl", "client", "agent"] {
+            for m in [r#"{"t":"warp","client":0}"#, r#"{"client":0}"#] {
+                let json = Json::parse(&format!(r#"{{"t":"{env}","m":{m}}}"#)).unwrap();
+                let buf = raw_frame(&json);
+                let err = recv(&mut buf.as_slice()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{env} {m}");
+                assert!(err.to_string().contains("bad envelope"), "{env} {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_corrupt_frames_are_rejected() {
+        let mut buf = Vec::new();
+        send(
+            &mut buf,
+            &Envelope::Agent(ToAgent::Join {
+                epoch: 0,
+                attempt: 1,
+            }),
+        )
+        .unwrap();
+        // Truncated mid-prefix.
+        let mut r = &buf[..2];
+        assert_eq!(
+            recv(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        // Truncated mid-body.
+        let mut r = &buf[..buf.len() - 3];
+        assert_eq!(
+            recv(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        // Giant length prefix: rejected before allocating.
+        let giant = u32::try_from(MAX_FRAME_BYTES + 1).unwrap().to_be_bytes();
+        let mut r = giant.as_slice();
+        assert_eq!(recv(&mut r).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // Valid prefix, garbage JSON body; then a body that is not UTF-8.
+        for body in [&b"{{{"[..], &[0xff, 0xfe, 0xfd]] {
+            let mut bad = 3u32.to_be_bytes().to_vec();
+            bad.extend_from_slice(body);
+            let mut r = bad.as_slice();
+            assert_eq!(recv(&mut r).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A reader that replays a script of data chunks and stalls, so the
+    /// patient read can be exercised without real sockets.
+    struct ScriptedRead {
+        script: VecDeque<Result<Vec<u8>, io::ErrorKind>>,
+    }
+
+    impl Read for ScriptedRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.script.pop_front() {
+                None => Ok(0),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        // Requeue what this short read did not consume.
+                        self.script.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+                Some(Err(kind)) => Err(io::Error::new(kind, "scripted stall")),
+            }
+        }
+    }
+
+    fn scripted(events: Vec<Result<Vec<u8>, io::ErrorKind>>) -> ScriptedRead {
+        ScriptedRead {
+            script: events.into(),
+        }
+    }
+
+    fn shutdown_frame() -> Vec<u8> {
+        let mut frame = Vec::new();
+        send(&mut frame, &Envelope::Agent(ToAgent::Shutdown)).unwrap();
+        frame
+    }
+
+    #[test]
+    fn patient_read_outwaits_boundary_idle_but_bounds_mid_frame_stalls() {
+        let frame = shutdown_frame();
+        // Many stalls before the first byte, then the frame split around
+        // a couple of mid-frame stalls (within the budget of 3).
+        let stall = || Err(io::ErrorKind::WouldBlock);
+        let mut r = scripted(vec![
+            stall(),
+            stall(),
+            stall(),
+            stall(),
+            stall(),
+            Ok(frame[..2].to_vec()),
+            stall(),
+            stall(),
+            Ok(frame[2..6].to_vec()),
+            Err(io::ErrorKind::TimedOut),
+            Ok(frame[6..].to_vec()),
+        ]);
+        let stop = AtomicBool::new(false);
+        let (envelope, bytes) = recv_patient(&mut r, &stop, 3).unwrap().expect("one frame");
+        assert_eq!(envelope, Envelope::Agent(ToAgent::Shutdown));
+        assert_eq!(bytes, frame.len());
+    }
+
+    #[test]
+    fn patient_read_times_out_a_mid_frame_staller() {
+        // One length byte arrives, then the peer goes silent: a
+        // slowloris. The budget of 2 consecutive stalls expires.
+        let mut r = scripted(vec![
+            Ok(vec![0]),
+            Err(io::ErrorKind::WouldBlock),
+            Err(io::ErrorKind::WouldBlock),
+            Err(io::ErrorKind::WouldBlock),
+        ]);
+        let stop = AtomicBool::new(false);
+        assert_eq!(
+            recv_patient(&mut r, &stop, 2).unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+    }
+
+    #[test]
+    fn patient_read_ends_cleanly_when_told_to_stop_waiting() {
+        // Stopped, the read ends at the first idle stall and leaves the
+        // frame behind it unread.
+        let mut r = scripted(vec![Err(io::ErrorKind::WouldBlock), Ok(shutdown_frame())]);
+        let stop = AtomicBool::new(true);
+        assert!(recv_patient(&mut r, &stop, 100).unwrap().is_none());
+        assert_eq!(r.script.len(), 1);
+    }
+
+    #[test]
+    fn patient_read_matches_plain_read_on_blocking_streams() {
+        let mut frame = Vec::new();
+        send(
+            &mut frame,
+            &Envelope::Agent(ToAgent::Join {
+                epoch: 3,
+                attempt: 1,
+            }),
+        )
+        .unwrap();
+        let stop = AtomicBool::new(false);
+        let plain = recv(&mut frame.as_slice()).unwrap();
+        let patient = recv_patient(&mut frame.as_slice(), &stop, 0).unwrap();
+        assert_eq!(plain, patient.map(|(envelope, _)| envelope));
     }
 }

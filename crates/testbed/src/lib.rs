@@ -8,7 +8,9 @@
 //! replaced by the `wolt-sim` scenario substrate:
 //!
 //! * [`protocol`] — the client ↔ Central Controller messages (scan
-//!   report, association directive, ack, departure).
+//!   report, association directive, ack, departure). The rig moves them
+//!   over channels as they are; `wolt-daemon`'s `wire` module gives them
+//!   their JSON and framing for TCP.
 //! * [`rig`] — the Central Controller on the calling thread plus one
 //!   thread per client laptop, joined sequentially over mpsc channels;
 //!   the CC runs WOLT / Greedy / RSSI on *estimated* PLC capacities
@@ -22,8 +24,6 @@
 //!   ([`controller::ControllerCore`]): epoch dedup, telemetry ingest,
 //!   policy planning, monotone directive sequencing, declared-dead
 //!   bookkeeping, and JSON snapshot/restore.
-//! * [`codec`] — the length-prefixed JSON wire codec for [`protocol`]
-//!   messages, used by the daemon's TCP transport.
 //! * [`faults`] — seeded deterministic fault injection (message drop /
 //!   delay / duplication, crashed and wedged agents) for exercising the
 //!   resilient control loop.
@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod controller;
 pub mod experiment;
 pub mod faults;

@@ -8,7 +8,7 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
-use wolt_daemon::{inbox, run_agent_burst, AgentRetry, Daemon, DaemonConfig};
+use wolt_daemon::{inbox, run_agent_with, AgentRetry, Daemon, DaemonConfig};
 use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
 use wolt_support::rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -67,7 +67,7 @@ fn burst_session(burst: u32) -> String {
         .map(|i| {
             let scenario = scenario.clone();
             thread::spawn(move || {
-                run_agent_burst(
+                run_agent_with(
                     addr,
                     &scenario,
                     None,

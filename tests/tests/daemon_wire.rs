@@ -1,17 +1,17 @@
-//! Property tests for the daemon wire format: every protocol message
-//! variant must survive a serialize → frame → parse round trip
-//! byte-for-byte, including hostile strings (control characters,
-//! escape-sequence look-alikes, non-ASCII) in the envelope's free-form
-//! fields.
+//! Property tests for the daemon wire format: every envelope variant,
+//! protocol message and fleet op must survive a serialize → frame →
+//! parse round trip byte-for-byte, including hostile strings (control
+//! characters, escape-sequence look-alikes, non-ASCII) in the
+//! envelope's free-form fields, site ids, spec fields and fleet replies.
 
 use std::io;
 
+use wolt_daemon::wire::{FleetOp, SiteSpec, SiteStatus, MAX_FRAME_BYTES};
 use wolt_daemon::{wire, Envelope};
 use wolt_support::check::Runner;
 use wolt_support::json::Json;
 use wolt_support::obs::{HistogramSnapshot, ObsSnapshot};
 use wolt_support::rng::Rng;
-use wolt_testbed::codec::{write_frame, MAX_FRAME_BYTES};
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_units::Mbps;
 
@@ -100,8 +100,48 @@ fn arbitrary_snapshot(rng: &mut impl Rng) -> ObsSnapshot {
     snap
 }
 
+fn arbitrary_spec(rng: &mut impl Rng) -> SiteSpec {
+    SiteSpec {
+        id: nasty_string(rng),
+        preset: nasty_string(rng),
+        users: rng.gen_range(0..400usize),
+        seed: rng.gen_range(0..u64::MAX / 2),
+        policy: nasty_string(rng),
+        stop_after: if rng.gen_range(0..2u32) == 0 {
+            None
+        } else {
+            Some(rng.gen_range(0..1_000usize))
+        },
+    }
+}
+
+fn arbitrary_fleet_op(rng: &mut impl Rng) -> FleetOp {
+    match rng.gen_range(0..4u32) {
+        0 => FleetOp::Status,
+        1 => FleetOp::Drain {
+            site: nasty_string(rng),
+        },
+        2 => FleetOp::Remove {
+            site: nasty_string(rng),
+        },
+        _ => FleetOp::Add {
+            spec: arbitrary_spec(rng),
+        },
+    }
+}
+
+fn arbitrary_site_status(rng: &mut impl Rng) -> SiteStatus {
+    SiteStatus {
+        site: nasty_string(rng),
+        state: nasty_string(rng),
+        users: rng.gen_range(0..400u64),
+        epochs_done: rng.gen_range(0..1_000_000u64),
+        events: rng.gen_range(0..1_000_000u64),
+    }
+}
+
 fn arbitrary_envelope(rng: &mut impl Rng) -> Envelope {
-    match rng.gen_range(0..12u32) {
+    match rng.gen_range(0..18u32) {
         0 => Envelope::Hello {
             client: rng.gen_range(0..64usize),
             name: nasty_string(rng),
@@ -151,10 +191,37 @@ fn arbitrary_envelope(rng: &mut impl Rng) -> Envelope {
             reason: nasty_string(rng),
         },
         10 => Envelope::MetricsRequest,
+        11 => Envelope::Busy {
+            limit: rng.gen_range(0..u64::MAX / 2),
+        },
+        12 => Envelope::SiteGone {
+            site: nasty_string(rng),
+        },
+        13 => Envelope::Fleet(arbitrary_fleet_op(rng)),
+        14 => Envelope::FleetStatus {
+            sites: (0..rng.gen_range(0..4usize))
+                .map(|_| arbitrary_site_status(rng))
+                .collect(),
+        },
+        15 => Envelope::FleetAck {
+            op: nasty_string(rng),
+            site: nasty_string(rng),
+            ok: rng.gen_range(0..2u32) == 0,
+            detail: nasty_string(rng),
+        },
+        16 => Envelope::Agent(ToAgent::Shutdown),
         _ => Envelope::Metrics {
             metrics: arbitrary_snapshot(rng),
         },
     }
+}
+
+/// A frame around arbitrary JSON, which need not be an envelope.
+fn raw_frame(json: &Json) -> Vec<u8> {
+    let body = json.to_compact();
+    let mut frame = u32::try_from(body.len()).unwrap().to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    frame
 }
 
 #[test]
@@ -217,7 +284,7 @@ fn streamed_envelopes_preserve_order_and_boundaries() {
 #[test]
 fn metrics_envelopes_round_trip_byte_identically() {
     // A focused run over metrics payloads only: deep nested snapshots
-    // with hostile metric names get far more coverage than their 2-in-12
+    // with hostile metric names get far more coverage than their 1-in-18
     // share of the general envelope property.
     Runner::new("daemon_metrics_round_trip").cases(200).run(
         |rng| Envelope::Metrics {
@@ -295,8 +362,7 @@ fn oversized_length_prefix_is_rejected_before_allocating() {
 #[test]
 fn unknown_envelope_kinds_are_typed_errors() {
     for tag in ["metrics_v2", "Metrics", "METRICS", "", "metrics "] {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Json::obj([("t", Json::Str(tag.into()))])).unwrap();
+        let buf = raw_frame(&Json::obj([("t", Json::Str(tag.into()))]));
         let mut r = buf.as_slice();
         let err = wire::recv(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag:?}");
@@ -309,8 +375,7 @@ fn unknown_envelope_kinds_are_typed_errors() {
         r#"{"t":"metrics_reply","m":{"counters":{},"gauges":{},"histograms":{"h":{"bounds":[10],"counts":[1],"count":1,"sum":1,"max":1}}}}"#,
     )
     .unwrap();
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &bad).unwrap();
+    let buf = raw_frame(&bad);
     let mut r = buf.as_slice();
     assert_eq!(
         wire::recv(&mut r).unwrap_err().kind(),

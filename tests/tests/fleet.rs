@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use wolt_daemon::wire::{self, FleetOp, SiteSpec};
 use wolt_daemon::{
-    run_agent, run_site_agent, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope, Fleet,
+    run_agent, run_agent_with, AgentRetry, Daemon, DaemonConfig, DaemonError, Envelope, Fleet,
     FleetOutcome, SiteDef,
 };
 use wolt_sim::Scenario;
@@ -127,13 +127,14 @@ fn run_fleet(defs: Vec<SiteDef>, snapshot_root: Option<PathBuf>) -> FleetOutcome
                 let site = site.clone();
                 let scenario = scenario.clone();
                 thread::spawn(move || {
-                    run_site_agent(
+                    run_agent_with(
                         addr,
                         &scenario,
-                        &site,
+                        Some(&site),
                         i,
                         &format!("{site}-{i}"),
                         &AgentRetry::default(),
+                        1,
                     )
                 })
             })
@@ -275,7 +276,7 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
                 seed: 0,
             };
             let started = Instant::now();
-            let result = run_site_agent(addr, &scenario, "phantom", 0, "ghost", &retry);
+            let result = run_agent_with(addr, &scenario, Some("phantom"), 0, "ghost", &retry, 1);
             (result, started.elapsed())
         })
     };
@@ -283,13 +284,14 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
         .map(|i| {
             let scenario = scenario.clone();
             thread::spawn(move || {
-                run_site_agent(
+                run_agent_with(
                     addr,
                     &scenario,
-                    "only",
+                    Some("only"),
                     i,
                     &format!("real-{i}"),
                     &AgentRetry::default(),
+                    1,
                 )
             })
         })
@@ -346,13 +348,14 @@ fn single_site_daemon_refuses_sited_hellos() {
     drop(probe);
 
     // Agent API: typed and fatal.
-    match run_site_agent(
+    match run_agent_with(
         addr,
         &scenario,
-        "floor-9",
+        Some("floor-9"),
         0,
         "misdirected",
         &AgentRetry::default(),
+        1,
     ) {
         Err(DaemonError::SiteGone { site }) => assert_eq!(site, "floor-9"),
         other => panic!("expected DaemonError::SiteGone, got {other:?}"),
@@ -489,26 +492,28 @@ fn fleet_ops_drive_a_live_fleet() {
 
     let fresh_scenario = lab_scenario(1, 77);
     let fresh_agent = thread::spawn(move || {
-        run_site_agent(
+        run_agent_with(
             addr,
             &fresh_scenario,
-            "fresh",
+            Some("fresh"),
             0,
             "fresh-0",
             &AgentRetry::default(),
+            1,
         )
     });
     let alpha_agents: Vec<_> = (0..2)
         .map(|i| {
             let scenario = alpha_scenario.clone();
             thread::spawn(move || {
-                run_site_agent(
+                run_agent_with(
                     addr,
                     &scenario,
-                    "alpha",
+                    Some("alpha"),
                     i,
                     &format!("alpha-{i}"),
                     &AgentRetry::default(),
+                    1,
                 )
             })
         })
