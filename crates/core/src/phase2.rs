@@ -347,7 +347,7 @@ fn polish(net: &Network, assoc: &mut Association, movable: &[usize], config: &Ph
     obs::counter_add("core.incremental_applies", applies);
 }
 
-/// Warm-started re-solve: coordinate-ascent [`polish`] of an existing
+/// Warm-started re-solve: the coordinate-ascent polish of an existing
 /// *complete* association, with every user movable. Where a cold solve
 /// rebuilds the assignment from scratch (Phase I + Phase II), this
 /// starts from `start` — typically the previous epoch's plan under

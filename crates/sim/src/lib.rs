@@ -44,7 +44,6 @@ pub mod flowsim;
 pub mod metrics;
 pub mod perturb;
 pub mod scenario;
-pub mod trace;
 
 mod error;
 

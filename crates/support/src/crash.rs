@@ -6,15 +6,15 @@
 //! epoch and persisting it, halfway through a wire frame — and checking
 //! that a restart converges to the byte-identical result. This module
 //! provides the hooks: code under test declares named crash points with
-//! [`crash_point!`], and a supervisor process arms a [`CrashPlan`]
-//! through the [`CRASH_ENV`] environment variable before spawning the
-//! victim. When the scheduled hit of an armed point executes, the process
-//! [`std::process::abort`]s — no destructors, no flushes, exactly the
-//! torn state a power cut would leave.
+//! [`crash_point!`](crate::crash_point!), and a supervisor process arms
+//! a [`CrashPlan`] through the [`CRASH_ENV`] environment variable before
+//! spawning the victim. When the scheduled hit of an armed point
+//! executes, the process [`std::process::abort`]s — no destructors, no
+//! flushes, exactly the torn state a power cut would leave.
 //!
 //! # Determinism contract
 //!
-//! Mirroring [`wolt_testbed::faults`]: every trigger is keyed by the
+//! Mirroring `wolt_testbed::faults`: every trigger is keyed by the
 //! crash point's *name*, with an independent per-name hit counter, so
 //! executions of unrelated points never shift when a trigger fires.
 //! [`CrashPlan::seeded`] derives each point's scheduled hit as a pure
@@ -164,7 +164,8 @@ fn armed() -> Option<&'static Armed> {
 /// plan naming this point, in which case the scheduled hit aborts the
 /// process (SIGABRT — no destructors run, no buffers flush).
 ///
-/// Call through [`crash_point!`] so the call sites read as annotations.
+/// Call through [`crash_point!`](crate::crash_point!) so the call sites
+/// read as annotations.
 pub fn hit(name: &str) {
     let Some(armed) = armed() else { return };
     let Some(&trigger) = armed.triggers.get(name) else {

@@ -21,10 +21,6 @@
 //!    performance anomaly from first principles (Fig. 2a of the paper) and
 //!    validate the analytic model.
 //!
-//! [`channels`] implements the paper's standing assumption that neighbouring
-//! extenders operate on non-overlapping WiFi channels (§V-A), as a greedy
-//! graph-colouring allocator with a conflict audit.
-//!
 //! # Example
 //!
 //! ```
@@ -43,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod channels;
 pub mod dcf;
 pub mod mcs;
 pub mod pathloss;
