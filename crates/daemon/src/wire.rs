@@ -48,7 +48,9 @@ pub const MAX_FRAME_BYTES: usize = 1 << 24;
 
 /// Crash point between a frame's length prefix and its body (see
 /// [`wolt_support::crash`]): an armed abort here leaves the peer holding
-/// a torn frame, the wire-level analogue of a torn snapshot write.
+/// a torn frame, the wire-level analogue of a torn snapshot write. The
+/// name is older than this module and stays: crash plans (`WOLT_CRASH`)
+/// and chaos reports name points by this string.
 pub const CRASH_MID_FRAME: &str = "codec.write.mid_frame";
 
 /// One daemon wire message.
