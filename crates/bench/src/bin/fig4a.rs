@@ -2,7 +2,7 @@
 //!
 //! Paper setup: 3 extenders and 7 laptops in a 2408 m² lab, 25 random
 //! topologies. Average improvements: +26% over Greedy, +70% over RSSI.
-//! We run the same experiment through the threaded controller rig.
+//! We run the same experiment through the controller rig.
 
 use wolt_bench::{columns, f2, header, measured, row};
 use wolt_testbed::experiment::{aggregate_summary, TestbedExperiment};
@@ -11,7 +11,7 @@ fn main() {
     header(
         "Fig 4a — average aggregate throughput on the testbed",
         "WOLT ≈ +26% over Greedy and ≈ +70% over RSSI (25 topologies, 3 extenders, 7 users)",
-        "threaded CC rig on 25 seeded lab scenarios",
+        "CC rig (virtual time) on 25 seeded lab scenarios",
     );
 
     let comparisons = TestbedExperiment::default().run().expect("experiment runs");

@@ -2,7 +2,7 @@
 //!
 //! Paper setup: mirror a testbed topology inside the simulator (same
 //! channel qualities, 3 extenders, 7 users) and compare the two. We run
-//! the identical scenario through (a) the threaded controller rig (the
+//! the identical scenario through (a) the controller rig (the
 //! "testbed") and (b) the offline policies on the same network (the
 //! "simulation"), expecting near-identical aggregates.
 
@@ -20,7 +20,7 @@ fn main() {
     header(
         "Fig 4c — simulation vs testbed on an identical topology",
         "simulation results are 'very consistent' with the testbed",
-        "one seeded lab topology; threaded rig vs offline policies, zero estimation noise",
+        "one seeded lab topology; CC rig vs offline policies, zero estimation noise",
     );
 
     let mut rng = ChaCha8Rng::seed_from_u64(4);

@@ -1,7 +1,7 @@
 //! The Central Controller's decision core, independent of transport.
 //!
 //! [`ControllerCore`] is the decision state behind both faces of the CC:
-//! the in-process [`rig`](crate::rig) (mpsc channels, optionally faulty)
+//! the in-process [`rig`](crate::rig) (virtual time, optionally faulty)
 //! and the networked `wolt-daemon` (TCP + length-prefixed JSON frames),
 //! which both drive it through the [`SessionDriver`](crate::session::SessionDriver).
 //! It owns everything that determines *what the controller decides* —

@@ -4,7 +4,7 @@
 //! "We randomly picked three power outlets (among 10 outlets that are
 //! available) and moved the laptops around to create 25 different
 //! topologies" — here, 25 seeded lab scenarios, each run through the
-//! threaded rig under WOLT, Greedy, and RSSI. The analyses reproduce:
+//! rig under WOLT, Greedy, and RSSI. The analyses reproduce:
 //!
 //! * Fig. 4a — average aggregate throughput per policy;
 //! * Fig. 4b — fraction of users better/worse off under WOLT than under a

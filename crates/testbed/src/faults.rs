@@ -3,11 +3,12 @@
 //! The paper's testbed is a real enterprise network: client reports cross
 //! a real medium, directives can be lost or delayed, and extender-attached
 //! laptops crash or hang without notice. A [`FaultPlan`] reproduces those
-//! conditions on the rig's channels — message **drop**, **delay**, and
+//! conditions on the rig's air — message **drop**, **delay**, and
 //! **duplication** on the client ↔ Central Controller links, plus two
-//! agent-level faults: **crash** (the agent thread exits right after its
-//! first scan report, without ever sending `Departed`) and **wedge** (the
-//! agent keeps running but never applies or acknowledges a directive).
+//! agent-level faults: **crash** (the agent's inbox closes as its first
+//! scan report leaves, without it ever sending `Departed`) and **wedge**
+//! (the agent keeps running but never applies or acknowledges a
+//! directive).
 //!
 //! # Determinism contract
 //!
@@ -15,13 +16,14 @@
 //! `(plan seed, link, message identity)`, where the identity is the
 //! message's protocol key — `(client, epoch, attempt)` for reports and
 //! departure notices, `(client, seq, attempt)` for directives and acks —
-//! **not** a draw from a shared sequential RNG stream. Thread scheduling,
-//! retry timing, and the number of retransmissions therefore cannot shift
-//! any other message's fate: two runs with the same seed and plan make
-//! identical drop/duplicate/delay decisions for every message identity
-//! they have in common, and the session outcome is byte-identical
-//! regardless of wall-clock jitter or `WOLT_THREADS`. The workspace
-//! integration tests pin this at 1/2/8 threads.
+//! **not** a draw from a shared sequential RNG stream. Retry timing and
+//! the number of retransmissions therefore cannot shift any other
+//! message's fate: two runs with the same seed and plan make identical
+//! drop/duplicate/delay decisions for every message identity they have
+//! in common. The rig's clock is virtual, so its session outcome,
+//! retries included, is byte-identical run to run and at any
+//! `WOLT_THREADS`, whatever the delays. The workspace integration tests
+//! pin this at 1/2/8 threads.
 
 use std::time::Duration;
 
@@ -161,17 +163,18 @@ impl Decision {
 pub struct FaultPlan {
     /// Seed for every per-message decision.
     pub seed: u64,
-    /// Faults on the client → CC link.
+    /// Faults on the client → CC link. Its delay is spent by the sending
+    /// agent before the reply leaves, and the agent is busy meanwhile.
     pub to_cc: LinkFaults,
-    /// Faults on the CC → client link. Its `max_delay` is served by the
-    /// receiving agent before it processes the directive, which keeps the
-    /// session loop non-blocking.
+    /// Faults on the CC → client link. Its delay is spent by the
+    /// receiving agent before it applies the directive, and the agent is
+    /// busy meanwhile.
     pub to_client: LinkFaults,
-    /// Clients whose agent thread exits silently right after sending its
-    /// first scan report — no `Departed`, no acks, channel closed.
+    /// Clients whose agent stops silently as its first scan report
+    /// leaves — no `Departed`, no acks, inbox closed.
     pub crashed: Vec<usize>,
     /// Clients that join and report normally but never apply or
-    /// acknowledge any directive.
+    /// acknowledge any directive, and spend no time on one.
     pub wedged: Vec<usize>,
 }
 
@@ -221,7 +224,7 @@ impl FaultPlan {
     }
 
     /// The deterministic fate of the message identified by `key` on
-    /// `link`. Independent of call order, thread, and wall clock.
+    /// `link`. Independent of call order, thread, and clock.
     pub fn decide(&self, link: Link, key: MessageKey) -> Decision {
         let faults = match link {
             Link::ToCc => &self.to_cc,

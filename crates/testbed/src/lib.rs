@@ -1,5 +1,5 @@
-//! Testbed emulation for WOLT: the Central Controller architecture on
-//! real threads.
+//! Testbed emulation for WOLT: the Central Controller architecture in
+//! process, on virtual time.
 //!
 //! The paper evaluates WOLT on a physical testbed of TP-Link TL-WPA8630
 //! extenders and seven laptops running "a user-space utility that runs on
@@ -8,13 +8,14 @@
 //! replaced by the `wolt-sim` scenario substrate:
 //!
 //! * [`protocol`] — the client ↔ Central Controller messages (scan
-//!   report, association directive, ack, departure). The rig moves them
-//!   over channels as they are; `wolt-daemon`'s `wire` module gives them
-//!   their JSON and framing for TCP.
-//! * [`rig`] — the Central Controller on the calling thread plus one
-//!   thread per client laptop, joined sequentially over mpsc channels;
-//!   the CC runs WOLT / Greedy / RSSI on *estimated* PLC capacities
-//!   while outcomes are evaluated on the true ones.
+//!   report, association directive, ack, departure). The rig hands them
+//!   over as they are; `wolt-daemon`'s `wire` module gives them their
+//!   JSON and framing for TCP.
+//! * [`rig`] — the Central Controller and one agent per client laptop in
+//!   the calling thread, on virtual time: clients join sequentially, the
+//!   air replays a seeded fault plan, and the CC runs WOLT / Greedy /
+//!   RSSI on *estimated* PLC capacities while outcomes are evaluated on
+//!   the true ones.
 //! * [`session`] — the protocol as one clock-free state machine: the
 //!   [`session::SessionDriver`] (commands, directive transactions,
 //!   retransmission, dead declarations) and the [`session::AgentState`]

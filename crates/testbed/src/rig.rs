@@ -1,22 +1,38 @@
-//! The testbed rig: a Central Controller and client agents on real
-//! threads, speaking the paper's protocol over channels.
+//! The testbed rig: a Central Controller and its client agents speaking
+//! the paper's protocol in one thread, on virtual time.
 //!
 //! The paper implements WOLT "as a user-space utility that runs on users'
 //! devices as well as the server" (§V-A). This module reproduces that
-//! architecture: the calling thread is the CC and each client laptop is
-//! a thread, connected by mpsc channels. Clients join (and may leave)
-//! sequentially, as laptops were carried around the lab: each scans,
-//! attaches to its strongest-RSSI extender, reports its rate estimates to
-//! the CC, and re-associates when a directive arrives. The CC runs the
-//! configured association policy on the *estimated* PLC capacities (from
-//! the offline iperf procedure), while the physical outcome is always
-//! evaluated on the true capacities — estimation error is part of the
-//! experiment.
+//! architecture in process: the caller is the CC and each client laptop
+//! is an [`AgentState`]. Clients join (and may leave) sequentially, as
+//! laptops were carried around the lab: each scans, attaches to its
+//! strongest-RSSI extender, reports its rate estimates to the CC, and
+//! re-associates when a directive arrives. The CC runs the configured
+//! association policy on the *estimated* PLC capacities (from the offline
+//! iperf procedure), while the physical outcome is always evaluated on
+//! the true capacities — estimation error is part of the experiment.
+//!
+//! # Virtual time
 //!
 //! The protocol itself lives in [`crate::session`]: the CC is a
-//! [`SessionDriver`] fed from the agents' channel and the wall clock, and
-//! every agent thread wraps an [`AgentState`]. This module adds only the
-//! transport: channels, threads, the shared air, and the fault plan.
+//! [`SessionDriver`] and every agent an [`AgentState`]. This module adds
+//! only the transport, and its clock is virtual: `now` jumps to the next
+//! reply that arrives by the driver's deadline, or else to the deadline
+//! itself. Nothing sleeps, spawns a thread, or takes a lock. The air
+//! behaves as one thread per laptop behind a FIFO inbox would:
+//!
+//! * each agent serves what it is sent in order, one message at a time;
+//! * it spends the plan's CC → client delay before applying a directive
+//!   and the client → CC delay before its reply leaves, and is busy
+//!   meanwhile; a wedged agent spends no time on the directives it
+//!   ignores;
+//! * a crashed agent's inbox closes as its first report leaves: a later
+//!   command finds it unreachable, and whatever queued behind the report
+//!   is lost;
+//! * replies in flight arrive in order of (arrival time, send order).
+//!
+//! `wolt-daemon` is the threaded transport over the same driver, with
+//! sockets and the wall clock.
 //!
 //! # Resilience
 //!
@@ -26,8 +42,8 @@
 //! under a seeded [`FaultPlan`], and the control loop is built to survive
 //! it:
 //!
-//! * every wait is a `recv_timeout` against a [`Deadlines`] budget — the
-//!   rig returns [`TestbedError::Timeout`] rather than hanging forever;
+//! * every wait is bounded by a [`Deadlines`] budget — the rig returns
+//!   [`TestbedError::Timeout`] rather than waiting forever;
 //! * directives carry monotone sequence numbers and are retransmitted
 //!   with bounded exponential backoff; agents apply each sequence once
 //!   and re-ack retries, so duplication and reordering are harmless;
@@ -38,16 +54,13 @@
 //!   last-known-good smoothed rates, and degrades to the previous
 //!   association when a solve fails mid-faults instead of panicking.
 //!
-//! The outcome of a faulty session is deterministic for a fixed scenario,
-//! seed, and plan (see [`crate::faults`]): fault decisions are keyed by
-//! message identity, so scheduling jitter only shifts *when* retries
-//! happen, never *what* the session decides — provided the plan's delays
-//! stay well below the ack retry budget.
+//! A faulty session is a pure function of its scenario, seed, deadlines
+//! and plan, `retries` included: fault decisions are keyed by message
+//! identity (see [`crate::faults`]) and the clock is virtual, so delays
+//! of any length, even past the ack retry budget, replay exactly.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 use wolt_core::Association;
 use wolt_plc::capacity::CapacityEstimator;
@@ -55,7 +68,7 @@ use wolt_sim::Scenario;
 
 use crate::controller::{ControllerConfig, ControllerCore};
 use crate::faults::{FaultPlan, Link, MessageKey};
-use crate::protocol::{ToAgent, ToClient, ToController};
+use crate::protocol::{ToAgent, ToController};
 use crate::session::{
     check_session, estimate_capacities, AgentState, EventOutcome, Input, Outbound, SessionDriver,
 };
@@ -227,8 +240,9 @@ pub struct SessionReport {
     pub unresponsive: Vec<usize>,
     /// Times the CC kept the previous association because a solve failed.
     pub degraded_solves: usize,
-    /// Total retransmissions (harness events + CC directives). Timing
-    /// dependent; excluded from [`canonical`](Self::canonical).
+    /// Total retransmissions (harness events + CC directives).
+    /// Deterministic on the rig, whose clock is virtual; timing-dependent
+    /// on the daemon, so excluded from [`canonical`](Self::canonical).
     pub retries: usize,
 }
 
@@ -236,10 +250,10 @@ impl SessionReport {
     /// A canonical, timing-independent rendering of the session outcome.
     ///
     /// Two runs with the same scenario, seed, and fault plan produce
-    /// byte-identical canonical reports regardless of thread count or
-    /// scheduling. `retries` is the one timing-dependent field (a slow
-    /// scheduler can trip a retransmission deadline without changing any
-    /// decision), so it is deliberately excluded.
+    /// byte-identical canonical reports regardless of thread count,
+    /// scheduling or transport. `retries` is deliberately excluded: on
+    /// the daemon's wall clock a slow scheduler can trip a retransmission
+    /// deadline without changing any decision.
     pub fn canonical(&self) -> String {
         let targets: Vec<Option<usize>> = self.outcome.association.iter().collect();
         format!(
@@ -287,9 +301,9 @@ pub fn run_rig(
     Ok(outcome)
 }
 
-/// Runs an arbitrary join/leave session through the threaded rig on a
-/// fault-free network and evaluates the resulting physical association
-/// on the true capacities.
+/// Runs an arbitrary join/leave session through the rig on a fault-free
+/// network and evaluates the resulting physical association on the true
+/// capacities.
 ///
 /// `seed` drives the capacity-estimation noise only; the scenario itself
 /// is supplied fully sampled.
@@ -298,7 +312,6 @@ pub fn run_rig(
 ///
 /// * [`TestbedError::InvalidConfig`] for an empty scenario, a Join of an
 ///   already-present client, or a Leave of an absent one.
-/// * [`TestbedError::ChannelClosed`] if a thread dies mid-protocol.
 /// * [`TestbedError::AssignmentFailed`] if the CC's policy cannot produce
 ///   an association.
 /// * [`TestbedError::Timeout`] if an endpoint stops responding (a bug on
@@ -349,7 +362,6 @@ pub fn run_faulty_session(
         });
     }
     let strict = plan.is_none();
-    let plan = Arc::new(plan.clone());
     let core = ControllerCore::new(
         n_users,
         ControllerConfig {
@@ -359,241 +371,210 @@ pub fn run_faulty_session(
         },
     );
     let mut driver = SessionDriver::new(core, events.to_vec(), config.deadlines);
+    let mut air = Air {
+        plan,
+        laptops: (0..n_users)
+            .map(|i| Laptop {
+                agent: AgentState::new(scenario, i),
+                free_at: Duration::ZERO,
+                closed_at: None,
+                attachments: Vec::new(),
+            })
+            .collect(),
+        in_flight: BTreeMap::new(),
+        sent: 0,
+    };
 
-    // Physical association state shared by all agents (the "air").
-    let physical: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; n_users]));
-    let (to_cc_tx, to_cc) = channel::<ToController>();
-    let mut agent_handles = Vec::with_capacity(n_users);
-    let mut agents: Vec<Sender<AgentInbox>> = Vec::with_capacity(n_users);
-    for i in 0..n_users {
-        // One inbox per agent: the session loop serializes harness
-        // commands and directives, so a single merged queue replaces a
-        // two-channel select without reordering anything.
-        let (agent_tx, agent_rx) = channel::<AgentInbox>();
-        agents.push(agent_tx);
-        let agent = AgentState::new(scenario, i);
-        let physical = Arc::clone(&physical);
-        let to_cc = to_cc_tx.clone();
-        let plan = Arc::clone(&plan);
-        agent_handles.push(thread::spawn(move || {
-            client_agent(agent, physical, to_cc, agent_rx, plan)
-        }));
-    }
-
-    // The session loop: this thread is the Central Controller. Events
-    // are serialized, as laptops were brought online and offline one at
-    // a time.
-    let origin = Instant::now();
-    while let Some(mut step) = driver.begin(origin.elapsed())? {
+    // The session loop: the caller is the Central Controller. Events are
+    // serialized, as laptops were brought online and offline one at a
+    // time.
+    let mut now = Duration::ZERO;
+    while let Some(mut step) = driver.begin(now)? {
         let ended = loop {
-            let unreachable = deliver(step.sends, &agents, &plan, strict)?;
+            let unreachable = air.deliver(now, step.sends);
             if let Some(ended) = step.ended {
                 break ended;
             }
             let input = match unreachable {
                 Some(client) => Input::Unreachable(client),
-                // This thread holds a sender, so the channel never
-                // disconnects: a receive error is the deadline passing.
                 None => {
-                    let wait = step
-                        .deadline
-                        .unwrap_or_default()
-                        .saturating_sub(origin.elapsed());
-                    to_cc.recv_timeout(wait).map_or(Input::Tick, Input::Msg)
+                    let deadline = step.deadline.unwrap_or(now);
+                    match air.next_reply(deadline) {
+                        Some((at, msg)) => {
+                            now = at;
+                            Input::Msg(msg)
+                        }
+                        None => {
+                            now = deadline;
+                            Input::Tick
+                        }
+                    }
                 }
             };
-            step = driver.handle(origin.elapsed(), input)?;
+            step = driver.handle(now, input)?;
         };
         let i = ended.event.client();
         match ended.outcome {
             EventOutcome::Completed => {
                 if matches!(ended.event, SessionEvent::Join(_)) {
-                    driver.record_join(i, lock_physical(&physical)[i]);
+                    driver.record_join(i, air.laptops[i].attached_at(now));
                 }
             }
-            // Planned silence: a crashed agent's channel is gone (or its
+            // Planned silence: a crashed agent's inbox is closed (or its
             // only report was dropped), a wedged one may never answer.
+            // Only a crashed agent is ever unreachable.
             _ if plan.expects_agent_fault(i) => {}
-            EventOutcome::TimedOut => {
+            _ => {
                 return Err(TestbedError::Timeout {
                     waiting_for: format!("completion of event {} (client {i})", ended.epoch),
                 })
             }
-            EventOutcome::Unreachable => {
-                return Err(TestbedError::ChannelClosed { endpoint: "agent" })
-            }
         }
     }
 
-    // Shutdown: stop agents and join their threads.
-    for tx in &agents {
-        let _ = tx.send(AgentInbox::Harness(ToAgent::Shutdown));
-    }
-    for h in agent_handles {
-        h.join()
-            .map_err(|_| TestbedError::ChannelClosed { endpoint: "agent" })?;
-    }
-
-    // The physical state is ground truth; on a fault-free network the
+    // The physical state is ground truth: each agent's attachment once it
+    // has served everything it was sent. On a fault-free network the
     // CC's view must agree with it exactly.
-    let physical_assoc: Vec<Option<usize>> = lock_physical(&physical).clone();
+    let physical: Vec<Option<usize>> = air.laptops.iter().map(|l| l.agent.attached()).collect();
     if strict {
-        debug_assert_eq!(physical_assoc, driver.core().association());
+        debug_assert_eq!(physical, driver.core().association());
     }
     driver.report(
         scenario,
-        &physical_assoc,
+        &physical,
         config.policy.name(),
         &plan.crashed,
         &plan.wedged,
     )
 }
 
-/// Locks the shared physical-association state, recovering from a
-/// poisoned mutex. The vector is plain data with no invariant spanning
-/// the critical section (each agent writes only its own slot), so the
-/// last written state is always safe to reuse even if another thread
-/// panicked while holding the lock.
-fn lock_physical(m: &Mutex<Vec<Option<usize>>>) -> MutexGuard<'_, Vec<Option<usize>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// The virtual air between the Central Controller and its agents.
+struct Air<'a> {
+    plan: &'a FaultPlan,
+    laptops: Vec<Laptop>,
+    /// Replies in flight, by (arrival time, send order).
+    in_flight: BTreeMap<(Duration, u64), ToController>,
+    /// Replies sent so far: the send order of the next one.
+    sent: u64,
 }
 
-/// Everything a client-agent thread can receive, merged into one queue:
-/// harness lifecycle commands and CC directives.
-enum AgentInbox {
-    /// Join/Leave/Shutdown from the session loop.
-    Harness(ToAgent),
-    /// Directive (or shutdown) from the Central Controller.
-    Cc(ToClient),
+/// One client laptop: its agent and the times that shape what it serves.
+struct Laptop {
+    agent: AgentState,
+    /// When the agent is done with everything it was sent so far.
+    free_at: Duration,
+    /// When a crashed agent's inbox closed: as its first report left.
+    closed_at: Option<Duration>,
+    /// Each attachment the agent took, from the time it took it.
+    attachments: Vec<(Duration, Option<usize>)>,
 }
 
-/// Delivers the driver's sends over the agents' inboxes, replaying the
-/// plan's CC → client faults (its delay is served by the receiving
-/// agent, so this thread never blocks on an in-flight directive).
-/// Returns the client whose command found its inbox closed. A closed
-/// inbox under a directive is a crashed agent, indistinguishable from a
-/// lost directive, so in resilient mode the ack deadlines handle both.
-fn deliver(
-    sends: Vec<Outbound>,
-    agents: &[Sender<AgentInbox>],
-    plan: &FaultPlan,
-    strict: bool,
-) -> Result<Option<usize>, TestbedError> {
-    let mut unreachable = None;
-    for send in sends {
-        match send {
-            Outbound::Command { client, cmd } => {
-                if agents[client].send(AgentInbox::Harness(cmd)).is_err() {
-                    unreachable = Some(client);
+impl Laptop {
+    /// The extender the laptop was attached to at time `at`.
+    fn attached_at(&self, at: Duration) -> Option<usize> {
+        self.attachments
+            .iter()
+            .rev()
+            .find(|&&(since, _)| since <= at)
+            .and_then(|&(_, extender)| extender)
+    }
+}
+
+impl Air<'_> {
+    /// Delivers the driver's sends at `now`, replaying the plan's CC →
+    /// client drops and duplicates. Returns the client whose command
+    /// found its inbox closed. A directive to a closed inbox is lost, as
+    /// a dropped one is, and the ack deadlines handle both.
+    fn deliver(&mut self, now: Duration, sends: Vec<Outbound>) -> Option<usize> {
+        let mut unreachable = None;
+        for send in sends {
+            match send {
+                Outbound::Command { client, cmd } => {
+                    let key = match cmd {
+                        ToAgent::Join { epoch, attempt } => {
+                            MessageKey::report(client, epoch, attempt)
+                        }
+                        ToAgent::Leave { epoch, attempt } => {
+                            MessageKey::departed(client, epoch, attempt)
+                        }
+                        ToAgent::Shutdown => continue,
+                    };
+                    if self.laptops[client].closed_at.is_some_and(|t| t <= now) {
+                        unreachable = Some(client);
+                    } else {
+                        self.serve(now, client, Duration::ZERO, key, |a| a.command(&cmd));
+                    }
                 }
-            }
-            Outbound::Directive {
-                client,
-                extender,
-                seq,
-                attempt,
-            } => {
-                let decision =
-                    plan.decide(Link::ToClient, MessageKey::directive(client, seq, attempt));
-                let copies = if decision.drop {
-                    0
-                } else {
-                    1 + usize::from(decision.duplicate)
-                };
-                for _ in 0..copies {
-                    let msg = AgentInbox::Cc(ToClient::Directive {
-                        extender,
-                        seq,
-                        attempt,
-                    });
-                    if agents[client].send(msg).is_err() && strict {
-                        return Err(TestbedError::ChannelClosed { endpoint: "client" });
+                Outbound::Directive {
+                    client,
+                    extender,
+                    seq,
+                    attempt,
+                } => {
+                    let fate = self
+                        .plan
+                        .decide(Link::ToClient, MessageKey::directive(client, seq, attempt));
+                    // Planned wedge: alive and reporting, but it never
+                    // applies or acknowledges a directive.
+                    let copies = if fate.drop || self.plan.wedged.contains(&client) {
+                        0
+                    } else {
+                        1 + usize::from(fate.duplicate)
+                    };
+                    for _ in 0..copies {
+                        let key = MessageKey::ack(client, seq, attempt);
+                        self.serve(now, client, fate.delay, key, |a| a.directive(extender, seq));
                     }
                 }
             }
         }
+        unreachable
     }
-    Ok(unreachable)
-}
 
-/// Applies the plan's decision for `key` to one client → CC transmission
-/// (delay served in-line, drop swallowed, duplicate sent twice). Returns
-/// `false` only when the CC inbox is gone (session shutdown).
-fn faulty_send(
-    plan: &FaultPlan,
-    key: MessageKey,
-    to_cc: &Sender<ToController>,
-    msg: ToController,
-) -> bool {
-    let decision = plan.decide(Link::ToCc, key);
-    if !decision.delay.is_zero() {
-        thread::sleep(decision.delay);
-    }
-    if decision.drop {
-        return true;
-    }
-    if decision.duplicate && to_cc.send(msg.clone()).is_err() {
-        return false;
-    }
-    to_cc.send(msg).is_ok()
-}
-
-/// The client-agent thread: [`AgentState`] behind an inbox, replaying
-/// the fault plan's decisions for every transmission and writing each
-/// change of attachment to the shared air.
-fn client_agent(
-    mut agent: AgentState,
-    physical: Arc<Mutex<Vec<Option<usize>>>>,
-    to_cc: Sender<ToController>,
-    inbox: Receiver<AgentInbox>,
-    plan: Arc<FaultPlan>,
-) {
-    let id = agent.client();
-    let crashes = plan.crashed.contains(&id);
-    let wedged = plan.wedged.contains(&id);
-    while let Ok(msg) = inbox.recv() {
-        let (reply, key) = match msg {
-            AgentInbox::Harness(cmd) => {
-                let key = match cmd {
-                    ToAgent::Join { epoch, attempt } => MessageKey::report(id, epoch, attempt),
-                    ToAgent::Leave { epoch, attempt } => MessageKey::departed(id, epoch, attempt),
-                    ToAgent::Shutdown => return,
-                };
-                (agent.command(&cmd), key)
-            }
-            AgentInbox::Cc(ToClient::Directive {
-                extender,
-                seq,
-                attempt,
-            }) => {
-                if wedged {
-                    // Planned wedge: alive and reporting, but never
-                    // applies or acknowledges a directive.
-                    continue;
-                }
-                let key = MessageKey::directive(id, seq, attempt);
-                let delay = plan.decide(Link::ToClient, key).delay;
-                if !delay.is_zero() {
-                    thread::sleep(delay);
-                }
-                (
-                    agent.directive(extender, seq),
-                    MessageKey::ack(id, seq, attempt),
-                )
-            }
-            AgentInbox::Cc(ToClient::Shutdown) => return,
-        };
-        let Some(reply) = reply else {
-            continue;
-        };
-        lock_physical(&physical)[id] = agent.attached();
-        let report = matches!(reply, ToController::Report { .. });
-        // Planned crash: exit silently right after the first scan
-        // report, leaving the radio attached and the CC uninformed. No
-        // Departed, no acks, channel closed.
-        if !faulty_send(&plan, key, &to_cc, reply) || (crashes && report) {
+    /// `client`'s agent serves one message sent at `now`: once it is free,
+    /// it spends `work`, handles the message, and sends the reply (keyed
+    /// by `key`) through the plan's client → CC faults, staying busy
+    /// until the reply leaves. A crashed agent exits as its first report
+    /// leaves, with the radio still attached and the CC uninformed.
+    fn serve(
+        &mut self,
+        now: Duration,
+        client: usize,
+        work: Duration,
+        key: MessageKey,
+        handle: impl FnOnce(&mut AgentState) -> Option<ToController>,
+    ) {
+        let laptop = &mut self.laptops[client];
+        if laptop.closed_at.is_some() {
             return;
         }
+        let handled_at = now.max(laptop.free_at) + work;
+        laptop.free_at = handled_at;
+        let Some(reply) = handle(&mut laptop.agent) else {
+            return;
+        };
+        laptop
+            .attachments
+            .push((handled_at, laptop.agent.attached()));
+        let fate = self.plan.decide(Link::ToCc, key);
+        let leaves_at = handled_at + fate.delay;
+        laptop.free_at = leaves_at;
+        if self.plan.crashed.contains(&client) && matches!(reply, ToController::Report { .. }) {
+            laptop.closed_at = Some(leaves_at);
+        }
+        if !fate.drop {
+            for _ in 0..1 + usize::from(fate.duplicate) {
+                self.in_flight.insert((leaves_at, self.sent), reply.clone());
+                self.sent += 1;
+            }
+        }
+    }
+
+    /// Takes the first reply in flight if it arrives by `by`.
+    fn next_reply(&mut self, by: Duration) -> Option<(Duration, ToController)> {
+        let entry = self.in_flight.first_entry().filter(|e| e.key().0 <= by)?;
+        let ((at, _), reply) = entry.remove_entry();
+        Some((at, reply))
     }
 }
 
@@ -840,21 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_physical_recovers_from_poison() {
-        let shared = Arc::new(Mutex::new(vec![Some(1usize), None]));
-        let poisoner = Arc::clone(&shared);
-        let _ = thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("poison the lock");
-        })
-        .join();
-        assert!(shared.lock().is_err(), "lock should be poisoned");
-        // The state is plain data: recover the guard and keep going.
-        lock_physical(&shared)[1] = Some(2);
-        assert_eq!(*lock_physical(&shared), vec![Some(1), Some(2)]);
-    }
-
-    #[test]
     fn backoff_doubles_and_caps() {
         let d = Deadlines::default();
         assert_eq!(d.backoff(1), Duration::from_millis(25));
@@ -925,17 +891,11 @@ mod tests {
             },
             ..FaultPlan::none()
         };
-        let start = Instant::now();
         let err =
             run_faulty_session(&scenario, &config, &[SessionEvent::Join(0)], 0, &plan).unwrap_err();
         assert!(
             matches!(err, TestbedError::Timeout { ref waiting_for } if waiting_for.contains("client 0")),
             "expected timeout, got {err:?}"
-        );
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "timeout not bounded: {:?}",
-            start.elapsed()
         );
     }
 

@@ -9,9 +9,9 @@
 //! send and the time it next needs waking. It never reads a clock,
 //! sleeps, or touches a channel or socket. `now` is whatever the
 //! transport says it is, measured from an origin of the transport's
-//! choosing. The in-process [`rig`](crate::rig) drives it from the
-//! agents' channels and the wall clock, `wolt-daemon` from its TCP
-//! inbox, and a test from a synthetic clock.
+//! choosing. The in-process [`rig`](crate::rig) drives it on virtual
+//! time, `wolt-daemon` from its TCP inbox and the wall clock, and a test
+//! from a synthetic clock.
 //!
 //! For each event the driver:
 //!

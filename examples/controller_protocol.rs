@@ -1,8 +1,9 @@
-//! The Central Controller protocol, live: client threads scan, attach,
-//! report, and follow directives over channels.
+//! The Central Controller protocol, live: client agents scan, attach,
+//! report, and follow directives.
 //!
-//! This is the paper's testbed software architecture (§V-A) running on
-//! real threads against the simulated lab.
+//! This is the paper's testbed software architecture (§V-A) running in
+//! process, on virtual time, against the simulated lab. `wolt serve` and
+//! `wolt agent` run the same protocol over TCP.
 //!
 //! ```text
 //! cargo run -p wolt-examples --bin controller_protocol

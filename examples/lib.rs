@@ -7,7 +7,7 @@
 //! * `enterprise_floor` — generate a full enterprise scenario and compare
 //!   all policies.
 //! * `online_dynamics` — users arriving/departing over epochs.
-//! * `controller_protocol` — the threaded Central-Controller rig.
+//! * `controller_protocol` — the Central-Controller rig, on virtual time.
 //!
 //! Run any of them with `cargo run -p wolt-examples --bin <name>`.
 

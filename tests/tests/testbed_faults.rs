@@ -1,11 +1,12 @@
 //! Integration: the resilient Central Controller under seeded fault
 //! injection (lossy links, crashed and wedged agents).
 //!
-//! These tests pin the PR's acceptance criteria: a lossy session with a
-//! crashed agent still terminates within its deadline budget with every
-//! survivor associated and near-fault-free throughput, and the canonical
-//! session report is byte-identical across thread counts and repeated
-//! runs for a fixed (scenario, seed, fault plan).
+//! A lossy session with a crashed agent still terminates within its
+//! deadline budget with every survivor associated and near-fault-free
+//! throughput, and the canonical session report and its retry count are
+//! identical across thread counts and repeated runs for a fixed
+//! (scenario, seed, fault plan) — also when delays outlast the ack retry
+//! budget.
 
 use std::time::{Duration, Instant};
 
@@ -39,15 +40,32 @@ fn all_join(users: usize) -> Vec<SessionEvent> {
     (0..users).map(SessionEvent::Join).collect()
 }
 
-fn lossy_report() -> SessionReport {
+fn lab_report(plan: &FaultPlan) -> SessionReport {
     run_faulty_session(
         &lab_scenario(7, 42),
         &RigConfig::new(ControllerPolicy::Wolt),
         &all_join(7),
         0,
-        &lossy_plan(),
+        plan,
     )
-    .expect("lossy session completes")
+    .expect("session completes")
+}
+
+fn lossy_report() -> SessionReport {
+    lab_report(&lossy_plan())
+}
+
+/// Runs `f` at `WOLT_THREADS` 1, 2 and 8, then restores the variable.
+fn at_each_thread_count(mut f: impl FnMut(&str)) {
+    let original = std::env::var("WOLT_THREADS").ok();
+    for threads in ["1", "2", "8"] {
+        std::env::set_var("WOLT_THREADS", threads);
+        f(threads);
+    }
+    match original {
+        Some(v) => std::env::set_var("WOLT_THREADS", v),
+        None => std::env::remove_var("WOLT_THREADS"),
+    }
 }
 
 #[test]
@@ -106,19 +124,13 @@ fn canonical_report_is_thread_count_invariant() {
     // so WOLT_THREADS must not leak into the session outcome. This pins
     // that invariant as a regression guard.
     let baseline = lossy_report().canonical();
-    let original = std::env::var("WOLT_THREADS").ok();
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("WOLT_THREADS", threads);
+    at_each_thread_count(|threads| {
         let got = lossy_report().canonical();
         assert_eq!(
             got, baseline,
             "canonical report diverged at WOLT_THREADS={threads}"
         );
-    }
-    match original {
-        Some(v) => std::env::set_var("WOLT_THREADS", v),
-        None => std::env::remove_var("WOLT_THREADS"),
-    }
+    });
 }
 
 #[test]
@@ -126,7 +138,9 @@ fn repeated_lossy_sessions_are_byte_identical() {
     let a = lossy_report();
     let b = lossy_report();
     assert_eq!(a.canonical(), b.canonical());
-    // The full reports (retries included) agree on everything canonical.
+    // The full reports agree on everything canonical, and on the retry
+    // count: the rig's clock is virtual, so retries replay too.
+    assert_eq!(a.retries, b.retries);
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(a.survivors, b.survivors);
     assert_eq!(a.declared_dead, b.declared_dead);
@@ -207,4 +221,50 @@ fn wedged_agent_is_declared_dead_and_survivors_recover() {
     }
     assert!(report.outcome.aggregate > 0.0);
     assert!(report.retries > 0, "dead declaration implies retries");
+}
+
+#[test]
+fn acks_later_than_the_ack_budget_replay_exactly() {
+    // CC → client delays of up to 1.5 s outlast a directive's whole ack
+    // retry budget (25 + 50 + 100 + 200 + 200 + 200 = 775 ms at the
+    // default deadlines): the directed client applies the directive and
+    // acks it only after the CC has declared it dead. The session is
+    // still a pure function of its inputs, retries included.
+    let plan = FaultPlan {
+        seed: 5,
+        to_cc: LinkFaults {
+            drop: 0.0,
+            duplicate: 0.0,
+            max_delay: Duration::from_millis(50),
+        },
+        to_client: LinkFaults {
+            drop: 0.0,
+            duplicate: 0.0,
+            max_delay: Duration::from_millis(1500),
+        },
+        crashed: vec![],
+        wedged: vec![],
+    };
+    let baseline = lab_report(&plan);
+    assert_eq!(baseline.declared_dead, vec![1], "{baseline:?}");
+    assert!(
+        baseline.survivors.contains(&1),
+        "the live client stays in the session"
+    );
+    assert_eq!(baseline.retries, 5);
+    let again = lab_report(&plan);
+    assert_eq!(again.canonical(), baseline.canonical());
+    assert_eq!(again.retries, baseline.retries);
+    at_each_thread_count(|threads| {
+        let got = lab_report(&plan);
+        assert_eq!(
+            got.canonical(),
+            baseline.canonical(),
+            "canonical report diverged at WOLT_THREADS={threads}"
+        );
+        assert_eq!(
+            got.retries, baseline.retries,
+            "retries diverged at WOLT_THREADS={threads}"
+        );
+    });
 }

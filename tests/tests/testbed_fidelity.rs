@@ -1,5 +1,5 @@
-//! Integration: the threaded testbed rig agrees with the pure simulation
-//! (the check behind the paper's Fig. 4c).
+//! Integration: the testbed rig agrees with the pure simulation (the
+//! check behind the paper's Fig. 4c).
 
 use wolt_core::baselines::{Greedy, Rssi};
 use wolt_core::{evaluate, AssociationPolicy, Wolt};

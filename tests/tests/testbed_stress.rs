@@ -1,10 +1,10 @@
-//! Integration: stress the threaded Central-Controller rig.
+//! Integration: stress the Central-Controller rig.
 //!
-//! The rig spawns one OS thread per client plus the controller; these
-//! tests push the thread/channel machinery harder than the 7-laptop paper
+//! The rig runs a controller and one agent per client on virtual time in
+//! the calling thread; these tests push it harder than the 7-laptop paper
 //! experiment — larger populations, interleaved join/leave storms, and
-//! several rigs running concurrently — to flush out deadlocks and
-//! cross-talk.
+//! several rigs running concurrently on OS threads — to flush out stuck
+//! sessions and cross-talk.
 
 use wolt_sim::scenario::ScenarioConfig;
 use wolt_sim::Scenario;
