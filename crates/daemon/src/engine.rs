@@ -792,7 +792,6 @@ pub fn serve_connection(
             }
             Ok(Some((Envelope::Shutdown { reason }, bytes))) => {
                 note_frame_in(bytes);
-                obs::trace("daemon", format!("operator stop: {reason}"));
                 let _ = tx.send(Incoming::Stop { reason });
             }
             Ok(Some((Envelope::MetricsRequest, bytes))) => {

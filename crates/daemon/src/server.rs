@@ -558,7 +558,6 @@ impl Server {
     fn control(&self, stream: &mut TcpStream, envelope: Envelope) -> bool {
         let reply = match envelope {
             Envelope::Shutdown { reason } => {
-                obs::trace("daemon", format!("operator stop: {reason}"));
                 self.router.stop_all(&reason);
                 return false;
             }

@@ -250,13 +250,6 @@ impl SnapshotStore {
                     Ok(snapshot) => {
                         if !damage.is_empty() {
                             obs::counter_add("daemon.snapshot_rollbacks", damage.len() as u64);
-                            obs::trace(
-                                "daemon",
-                                format!(
-                                    "snapshot rollback to generation {generation}: {}",
-                                    damage.join("; ")
-                                ),
-                            );
                         }
                         return Ok(Some((generation, snapshot)));
                     }
@@ -282,13 +275,6 @@ impl SnapshotStore {
         }
         if generations == [0] {
             obs::counter_inc("daemon.snapshot_rollbacks");
-            obs::trace(
-                "daemon",
-                format!(
-                    "snapshot rollback to cold start (first save torn): {}",
-                    damage.join("; ")
-                ),
-            );
             return Ok(None);
         }
         Err(DaemonError::SnapshotCorrupt(SnapshotCorrupt::AllInvalid {

@@ -8,7 +8,6 @@
 
 use wolt_core::baselines::Rssi;
 use wolt_core::{evaluate, Association, AssociationPolicy, IncrementalEvaluator, Network, Wolt};
-use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 use wolt_support::pool;
 use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 
@@ -33,30 +32,6 @@ pub struct TrialRecord {
     pub jain: Option<f64>,
     /// Per-user throughputs (Mbit/s).
     pub per_user: Vec<f64>,
-}
-
-impl ToJson for TrialRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seed", self.seed.to_json()),
-            ("policy", self.policy.to_json()),
-            ("aggregate", self.aggregate.to_json()),
-            ("jain", self.jain.to_json()),
-            ("per_user", self.per_user.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TrialRecord {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            seed: u64::from_json(value.field("seed")?)?,
-            policy: String::from_json(value.field("policy")?)?,
-            aggregate: f64::from_json(value.field("aggregate")?)?,
-            jain: Option::<f64>::from_json(value.field("jain")?)?,
-            per_user: Vec::<f64>::from_json(value.field("per_user")?)?,
-        })
-    }
 }
 
 /// Runs each policy on freshly generated scenarios for every seed.
@@ -171,48 +146,6 @@ pub struct EpochRecord {
     /// PLC links that flapped this epoch (failure injection; 0 without
     /// it).
     pub flapped_links: usize,
-}
-
-impl ToJson for EpochRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("epoch", self.epoch.to_json()),
-            ("users", self.users.to_json()),
-            ("arrivals", self.arrivals.to_json()),
-            ("departures", self.departures.to_json()),
-            ("aggregate", self.aggregate.to_json()),
-            ("jain", self.jain.to_json()),
-            ("reassignments", self.reassignments.to_json()),
-            ("down_extenders", self.down_extenders.to_json()),
-            ("moved_users", self.moved_users.to_json()),
-            ("flapped_links", self.flapped_links.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EpochRecord {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        // Perturbation counters default to zero when absent, so traces
-        // written before failure injection existed still load.
-        let opt_usize = |key: &str| -> Result<usize, JsonError> {
-            match value.get(key) {
-                Some(v) => usize::from_json(v),
-                None => Ok(0),
-            }
-        };
-        Ok(Self {
-            epoch: usize::from_json(value.field("epoch")?)?,
-            users: usize::from_json(value.field("users")?)?,
-            arrivals: usize::from_json(value.field("arrivals")?)?,
-            departures: usize::from_json(value.field("departures")?)?,
-            aggregate: f64::from_json(value.field("aggregate")?)?,
-            jain: Option::<f64>::from_json(value.field("jain")?)?,
-            reassignments: usize::from_json(value.field("reassignments")?)?,
-            down_extenders: opt_usize("down_extenders")?,
-            moved_users: opt_usize("moved_users")?,
-            flapped_links: opt_usize("flapped_links")?,
-        })
-    }
 }
 
 /// Dynamic epoch-driven simulation (Fig. 6b/6c), optionally perturbed by
@@ -633,36 +566,5 @@ mod tests {
                 b.aggregate
             );
         }
-    }
-
-    #[test]
-    fn epoch_record_json_roundtrip_and_legacy_default() {
-        let record = EpochRecord {
-            epoch: 3,
-            users: 9,
-            arrivals: 2,
-            departures: 1,
-            aggregate: 123.5,
-            jain: Some(0.9),
-            reassignments: 4,
-            down_extenders: 1,
-            moved_users: 2,
-            flapped_links: 3,
-        };
-        let json = record.to_json();
-        assert_eq!(EpochRecord::from_json(&json).unwrap(), record);
-        // Traces written before link flaps existed must still load.
-        let legacy = Json::obj(vec![
-            ("epoch", 1usize.to_json()),
-            ("users", 5usize.to_json()),
-            ("arrivals", 0usize.to_json()),
-            ("departures", 0usize.to_json()),
-            ("aggregate", 50.0f64.to_json()),
-            ("jain", Option::<f64>::None.to_json()),
-            ("reassignments", 0usize.to_json()),
-        ]);
-        let parsed = EpochRecord::from_json(&legacy).unwrap();
-        assert_eq!(parsed.flapped_links, 0);
-        assert_eq!(parsed.down_extenders, 0);
     }
 }

@@ -18,7 +18,7 @@
 //! * [`pool`] — a scoped thread pool with an order-preserving `par_map`,
 //!   so parallel experiment sweeps stay byte-identical to sequential runs.
 //! * [`obs`] — a process-wide metrics registry (counters, gauges,
-//!   fixed-bucket histograms, trace ring) whose totals are deterministic
+//!   fixed-bucket histograms) whose totals are deterministic
 //!   at any thread count and whose presence never perturbs results.
 //! * [`crc`] — CRC-32 (IEEE) for torn-write detection in durable state.
 //! * [`crash`] — seeded, named crash-point injection ([`crash_point!`])

@@ -1,6 +1,6 @@
-//! Process-wide observability: monotone counters, gauges, fixed-bucket
-//! histograms, and a bounded event-trace ring — hermetic, `std`-only,
-//! and built so that *enabling it never changes results*.
+//! Process-wide observability: monotone counters, gauges and
+//! fixed-bucket histograms — hermetic, `std`-only, and built so that
+//! *enabling it never changes results*.
 //!
 //! # Determinism contract
 //!
@@ -19,10 +19,6 @@
 //!    index order** once all workers have joined. A run at
 //!    `WOLT_THREADS=8` therefore reports exactly the totals of the same
 //!    run at `WOLT_THREADS=1`.
-//!
-//! The trace ring is the deliberate exception: it records wall-clock
-//! interleavings for humans and is **excluded** from the determinism
-//! contract (bounded, lossy, ordering reflects the actual schedule).
 //!
 //! # Enabling and disabling
 //!
@@ -64,10 +60,6 @@ pub const DEFAULT_TIME_BUCKETS_US: &[u64] = &[
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000,
 ];
-
-/// Maximum number of events retained by the trace ring; older events are
-/// dropped (the ring is diagnostic, not a durable log).
-pub const TRACE_CAPACITY: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -114,17 +106,11 @@ impl HistCells {
     }
 }
 
-struct TraceRing {
-    next_seq: u64,
-    events: std::collections::VecDeque<TraceEvent>,
-}
-
 struct Registry {
     enabled: AtomicBool,
     counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<&'static str, Arc<AtomicI64>>>,
     histograms: RwLock<BTreeMap<&'static str, Arc<HistCells>>>,
-    trace: Mutex<TraceRing>,
 }
 
 fn registry() -> &'static Registry {
@@ -142,10 +128,6 @@ fn registry() -> &'static Registry {
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
-            trace: Mutex::new(TraceRing {
-                next_seq: 0,
-                events: std::collections::VecDeque::with_capacity(TRACE_CAPACITY),
-            }),
         }
     })
 }
@@ -161,8 +143,8 @@ pub fn set_enabled(on: bool) {
     registry().enabled.store(on, Ordering::Relaxed);
 }
 
-/// Zeroes every registered counter, gauge, and histogram and clears the
-/// trace ring, leaving registrations and the enabled flag untouched.
+/// Zeroes every registered counter, gauge, and histogram, leaving
+/// registrations and the enabled flag untouched.
 /// Intended for tests that assert exact totals.
 pub fn reset() {
     let reg = registry();
@@ -175,9 +157,6 @@ pub fn reset() {
     for cells in reg.histograms.read().expect("obs lock").values() {
         cells.reset();
     }
-    let mut ring = reg.trace.lock().expect("obs lock");
-    ring.events.clear();
-    ring.next_seq = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -452,55 +431,6 @@ pub fn observe_duration(name: &'static str, d: Duration) {
     if enabled() {
         histogram(name).observe_duration(d);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Trace ring
-// ---------------------------------------------------------------------------
-
-/// One structured trace event. Sequence numbers are process-global and
-/// monotone; the ring keeps only the most recent [`TRACE_CAPACITY`]
-/// events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Monotone process-global sequence number.
-    pub seq: u64,
-    /// Subsystem that emitted the event (e.g. `"daemon"`, `"cc"`).
-    pub target: &'static str,
-    /// Human-readable message.
-    pub message: String,
-}
-
-/// Appends an event to the trace ring (no-op while recording is
-/// disabled). The ring reflects real scheduling and is **excluded** from
-/// the determinism contract.
-pub fn trace(target: &'static str, message: impl Into<String>) {
-    if !enabled() {
-        return;
-    }
-    let mut ring = registry().trace.lock().expect("obs lock");
-    let seq = ring.next_seq;
-    ring.next_seq += 1;
-    if ring.events.len() == TRACE_CAPACITY {
-        ring.events.pop_front();
-    }
-    ring.events.push_back(TraceEvent {
-        seq,
-        target,
-        message: message.into(),
-    });
-}
-
-/// The current trace ring contents, oldest first.
-pub fn trace_events() -> Vec<TraceEvent> {
-    registry()
-        .trace
-        .lock()
-        .expect("obs lock")
-        .events
-        .iter()
-        .cloned()
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -889,7 +819,6 @@ mod tests {
         c.add(10);
         counter_add("test.obs.disabled", 5);
         observe_us("test.obs.disabled_hist", 42);
-        trace("test", "dropped");
         assert_eq!(c.get(), before);
         set_enabled(was);
     }
@@ -1005,20 +934,6 @@ mod tests {
     fn shard_take_without_install_is_empty() {
         let shard = shard_take();
         shard_merge(shard); // merging an empty shard is a no-op
-    }
-
-    #[test]
-    fn trace_ring_is_bounded_with_monotone_seq() {
-        let _g = lock();
-        reset();
-        for i in 0..(TRACE_CAPACITY + 10) {
-            trace("test", format!("event {i}"));
-        }
-        let events = trace_events();
-        assert_eq!(events.len(), TRACE_CAPACITY);
-        assert_eq!(events.first().unwrap().seq, 10);
-        assert_eq!(events.last().unwrap().seq, (TRACE_CAPACITY + 10 - 1) as u64);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
