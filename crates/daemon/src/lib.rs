@@ -2,8 +2,8 @@
 //!
 //! The paper's §V-A architecture is a server ("the CC") that laptops
 //! talk to over the network. The in-process testbed
-//! ([`wolt_testbed::rig`]) emulates that with threads and channels; this
-//! crate runs it for real: one TCP server ([`server`]) speaking a
+//! ([`wolt_testbed::rig`]) emulates that in one thread on virtual time;
+//! this crate runs it for real: one TCP server ([`server`]) speaking a
 //! length-prefixed JSON wire protocol, an agent client ([`run_agent`],
 //! [`run_agent_with`]) for the laptop side, and a crash-safe
 //! generational snapshot store ([`store::SnapshotStore`]) so a restarted
