@@ -1,8 +1,8 @@
 //! The agent client: one laptop's user-space utility, speaking the
 //! daemon's wire protocol over TCP.
 //!
-//! This is the networked twin of the rig's in-process agent thread,
-//! minus the fault layer: both wrap the same [`AgentState`] — scan once
+//! This is the networked twin of the rig's in-process agent, minus the
+//! fault layer: both wrap the same [`AgentState`] — scan once
 //! per join, report rates to the controller, apply directives
 //! newest-sequence-wins and ack every received transmission. A
 //! reconnecting agent adopts the attachment the daemon hands back in the

@@ -2,9 +2,9 @@
 //! TCP service, hosting one PLC segment ("site") or many behind one
 //! listener.
 //!
-//! The in-process rig ([`wolt_testbed::rig`]) wires the controller and
-//! the client agents together with mpsc channels inside one process. The
-//! server replaces the channel transport with TCP — agents connect over
+//! The in-process rig ([`wolt_testbed::rig`]) runs the controller and
+//! the client agents in one thread, on virtual time. The server replaces
+//! that in-process transport with TCP and the wall clock — agents connect over
 //! loopback (or a LAN), handshake with [`Envelope::Hello`], and then
 //! speak exactly the [`wolt_testbed::protocol`] messages the rig speaks —
 //! while every *decision* (planning, sequencing, epoch dedup,

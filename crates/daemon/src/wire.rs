@@ -1,14 +1,14 @@
 //! The daemon's wire format, in one place: the [`Envelope`], the JSON of
 //! every message it carries, and the length-prefixed framing.
 //!
-//! The in-process rig moves the [`wolt_testbed::protocol`] enums over
-//! mpsc channels and needs no encoding. The daemon moves the same enums
+//! The in-process rig hands the [`wolt_testbed::protocol`] enums to its
+//! agents as they are and needs no encoding. The daemon moves the same enums
 //! over TCP inside an envelope, which adds what a socket needs: the
 //! handshake, the restore handoff, the overload refusal, operator stop,
 //! and metrics and fleet operations.
 //!
-//! The rig needs no handshake, since channel identity *is* client
-//! identity. Over TCP the daemon learns who connected from the first
+//! The rig needs no handshake, since each in-process agent *is* its
+//! client. Over TCP the daemon learns who connected from the first
 //! frame ([`Envelope::Hello`]) and answers with the client's last known
 //! attachment ([`Envelope::HelloAck`]), which is how a restarted daemon
 //! hands a reconnecting agent its pre-crash state (the data plane — the

@@ -86,7 +86,7 @@ pub enum ToClient {
         /// increment it.
         attempt: u32,
     },
-    /// Experiment over; the agent thread should exit.
+    /// Experiment over; the agent should exit.
     Shutdown,
 }
 

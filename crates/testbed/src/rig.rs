@@ -465,7 +465,9 @@ struct Laptop {
     free_at: Duration,
     /// When a crashed agent's inbox closed: as its first report left.
     closed_at: Option<Duration>,
-    /// Each attachment the agent took, from the time it took it.
+    /// Each attachment the agent took, from the time it took it: a
+    /// completed join records the one held at that instant, not one a
+    /// directive the agent is still spending its delay on will bring.
     attachments: Vec<(Duration, Option<usize>)>,
 }
 

@@ -8,6 +8,7 @@
 //! (scenario, seed, fault plan) — also when delays outlast the ack retry
 //! budget.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use wolt_testbed::{
@@ -56,7 +57,10 @@ fn lossy_report() -> SessionReport {
 }
 
 /// Runs `f` at `WOLT_THREADS` 1, 2 and 8, then restores the variable.
+/// Callers take turns, since the variable is process-wide.
 fn at_each_thread_count(mut f: impl FnMut(&str)) {
+    static TURN: Mutex<()> = Mutex::new(());
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let original = std::env::var("WOLT_THREADS").ok();
     for threads in ["1", "2", "8"] {
         std::env::set_var("WOLT_THREADS", threads);
