@@ -261,7 +261,6 @@ fn run_to_completion(
                         client,
                         "chaos-agent",
                         &retry,
-                        1,
                     )
                 })
             })

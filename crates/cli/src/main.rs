@@ -33,7 +33,7 @@ USAGE:
   wolt compare  --input FILE [--seed S] [--threads T]
   wolt serve    --addr HOST:PORT [--preset P] [--users N] [--seed S] [--policy <wolt|greedy|rssi>] [--noise-seed S] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--output FILE]
   wolt serve    --addr HOST:PORT --sites SPEC.json [--shards T] [--snapshot DIR] [--addr-file FILE] [--metrics-out FILE] [--linger-ms MS] [--output FILE]
-  wolt agent    --addr HOST:PORT --client I [--site ID] [--preset P] [--users N] [--seed S] [--name NAME] [--burst K]
+  wolt agent    --addr HOST:PORT --client I [--site ID] [--preset P] [--users N] [--seed S] [--name NAME]
   wolt fleet status --addr HOST:PORT [--output FILE]
   wolt fleet drain  --addr HOST:PORT --site ID
   wolt fleet remove --addr HOST:PORT --site ID
@@ -51,10 +51,6 @@ users join; agent connects one laptop to it. Both sides regenerate the
 scenario from the same (--preset, --users, --seed), so no network file
 changes hands. Pass --addr 127.0.0.1:0 with --addr-file to let the OS
 pick a port and hand it to the agents.
-
-serve drains queued scan reports in runs, keeps each client's newest
-(daemon.frames_coalesced counts the rest) and plans once per run; agent
---burst K re-sends each scan report K times to exercise that path.
 
 metrics queries a live daemon's counters and histograms over the wire
 (a WOLT_OBS snapshot as JSON). serve's --metrics-out dumps the same
@@ -201,15 +197,6 @@ fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
                     })?,
                 parsed.get("name").unwrap_or("agent"),
                 parsed.get("site"),
-                {
-                    let burst = parsed.get_parsed_or("burst", 1u32)?;
-                    if burst == 0 {
-                        return Err(CliError::Usage {
-                            message: "--burst must be at least 1".into(),
-                        });
-                    }
-                    burst
-                },
             )?;
             eprintln!("{summary}");
             Ok(())

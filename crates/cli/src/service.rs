@@ -259,7 +259,6 @@ pub fn metrics(addr: &str) -> Result<String, CliError> {
 ///
 /// [`CliError::Net`] when the daemon cannot be reached, the connection
 /// drops mid-session, or the named site is gone.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flag surface one-to-one
 pub fn agent(
     addr: &str,
     preset: PresetChoice,
@@ -268,18 +267,9 @@ pub fn agent(
     client: usize,
     name: &str,
     site: Option<&str>,
-    burst: u32,
 ) -> Result<String, CliError> {
     let scenario = scenario_for(preset, users, seed)?;
-    let outcome = run_agent_with(
-        addr,
-        &scenario,
-        site,
-        client,
-        name,
-        &AgentRetry::default(),
-        burst,
-    )?;
+    let outcome = run_agent_with(addr, &scenario, site, client, name, &AgentRetry::default())?;
     Ok(format!(
         "agent {client} ({name}) done: attached={} directives_applied={}",
         outcome
@@ -346,7 +336,7 @@ mod tests {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap().to_string();
         drop(probe);
-        let err = agent(&addr, PresetChoice::Lab, 7, 1, 0, "lonely", None, 1).unwrap_err();
+        let err = agent(&addr, PresetChoice::Lab, 7, 1, 0, "lonely", None).unwrap_err();
         assert!(
             matches!(err, CliError::Net { .. }),
             "expected CliError::Net, got {err:?}"
@@ -355,7 +345,7 @@ mod tests {
 
     #[test]
     fn agent_with_out_of_range_client_is_not_a_net_error() {
-        let err = agent("127.0.0.1:1", PresetChoice::Lab, 7, 1, 99, "ghost", None, 1).unwrap_err();
+        let err = agent("127.0.0.1:1", PresetChoice::Lab, 7, 1, 99, "ghost", None).unwrap_err();
         assert!(matches!(err, CliError::Library { .. }));
     }
 }

@@ -121,33 +121,6 @@ impl Wolt {
         obs::observe_duration("core.solve_us", started.elapsed());
         Ok((p1, p2))
     }
-
-    /// Warm-started re-solve: instead of running both phases from
-    /// scratch, polish `start` — a complete association from a previous
-    /// solve — against the (possibly shifted) `net` via
-    /// [`crate::phase2::refine_association`]. Counted as
-    /// `core.warm_solves` / `core.warm_solve_us`, *not* `core.solves`,
-    /// so the two planning modes stay separable in the metrics.
-    ///
-    /// This is an optimization-preserving shortcut only when telemetry
-    /// moved a little; callers are expected to fall back to
-    /// [`Wolt::associate`] when no usable previous plan exists.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::IncompleteAssociation`] for a partial `start`, plus
-    /// `start` validation errors against `net`.
-    pub fn warm_associate(
-        &self,
-        net: &Network,
-        start: &Association,
-    ) -> Result<Association, CoreError> {
-        let started = std::time::Instant::now();
-        let assoc = crate::phase2::refine_association(net, start, &self.phase2_config)?;
-        obs::counter_inc("core.warm_solves");
-        obs::observe_duration("core.warm_solve_us", started.elapsed());
-        Ok(assoc)
-    }
 }
 
 impl AssociationPolicy for Wolt {

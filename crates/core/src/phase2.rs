@@ -347,35 +347,6 @@ fn polish(net: &Network, assoc: &mut Association, movable: &[usize], config: &Ph
     obs::counter_add("core.incremental_applies", applies);
 }
 
-/// Warm-started re-solve: the coordinate-ascent polish of an existing
-/// *complete* association, with every user movable. Where a cold solve
-/// rebuilds the assignment from scratch (Phase I + Phase II), this
-/// starts from `start` — typically the previous epoch's plan under
-/// slightly shifted telemetry — and only walks users whose move improves
-/// Σ_j T_wifi(j) by more than `config.polish_tol`. Moves that would
-/// overflow an extender's user limit are skipped, so a valid start stays
-/// valid.
-///
-/// # Errors
-///
-/// [`CoreError::IncompleteAssociation`] when `start` leaves a user
-/// unassigned (warm starts need a full previous plan), plus `start`
-/// validation errors against `net`.
-pub fn refine_association(
-    net: &Network,
-    start: &Association,
-    config: &Phase2Config,
-) -> Result<Association, CoreError> {
-    net.validate_association(start)?;
-    if let Some(&user) = start.unassigned_users().first() {
-        return Err(CoreError::IncompleteAssociation { user });
-    }
-    let mut assoc = start.clone();
-    let movable: Vec<usize> = (0..net.users()).collect();
-    polish(net, &mut assoc, &movable, config);
-    Ok(assoc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,31 +364,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn refine_improves_or_preserves_a_complete_start() {
-        let net = net_3x5();
-        let start = Association::complete(vec![0, 1, 2, 0, 1]);
-        net.validate_association(&start).unwrap();
-        let refined = refine_association(&net, &start, &Phase2Config::default()).unwrap();
-        assert!(refined.is_complete());
-        net.validate_association(&refined).unwrap();
-        // Coordinate ascent only takes improving moves.
-        assert!(wifi_objective(&net, &refined) >= wifi_objective(&net, &start) - 1e-12);
-        // A refined association is a fixed point of further refinement.
-        let again = refine_association(&net, &refined, &Phase2Config::default()).unwrap();
-        assert_eq!(again, refined);
-    }
-
-    #[test]
-    fn refine_rejects_a_partial_start() {
-        let net = net_3x5();
-        let start = Association::from_targets(vec![Some(0), None, Some(2), Some(0), Some(1)]);
-        assert!(matches!(
-            refine_association(&net, &start, &Phase2Config::default()),
-            Err(CoreError::IncompleteAssociation { user: 1 })
-        ));
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! as the typed [`DaemonError::GaveUp`].
 //!
 //! [`run_agent_with`] is the one agent loop: it takes the site the hello
-//! names, the reconnect policy and the report burst. [`run_agent`] runs
-//! it with a site-less hello, the default policy and one report per
-//! join.
+//! names and the reconnect policy. [`run_agent`] runs it with a site-less
+//! hello and the default policy.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -29,7 +28,7 @@ use std::time::Duration;
 use wolt_sim::Scenario;
 use wolt_support::obs;
 use wolt_support::rng::{RngCore as _, SplitMix64};
-use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
+use wolt_testbed::protocol::{ToAgent, ToClient};
 use wolt_testbed::AgentState;
 
 use crate::wire::{self, Envelope};
@@ -149,8 +148,8 @@ pub struct AgentOutcome {
     pub directives_applied: usize,
 }
 
-/// Runs one agent to completion with the default reconnect policy, a
-/// site-less hello and one report per join: see [`run_agent_with`].
+/// Runs one agent to completion with the default reconnect policy and a
+/// site-less hello: see [`run_agent_with`].
 ///
 /// # Errors
 ///
@@ -161,15 +160,7 @@ pub fn run_agent(
     client: usize,
     name: &str,
 ) -> Result<AgentOutcome, DaemonError> {
-    run_agent_with(
-        addr,
-        scenario,
-        None,
-        client,
-        name,
-        &AgentRetry::default(),
-        1,
-    )
+    run_agent_with(addr, scenario, None, client, name, &AgentRetry::default())
 }
 
 /// Runs one agent to completion: connect (with `retry`'s bounded
@@ -188,11 +179,6 @@ pub fn run_agent(
 /// sends the site-less hello a single-site [`crate::Daemon`] expects,
 /// byte-identical to the handshake from before sites existed.
 ///
-/// `burst` is a load-shape knob for the daemon's telemetry coalescing:
-/// the agent answers every join with `burst` identical scan reports
-/// instead of one. Any burst is protocol-safe (the controller dedups
-/// repeated reports by epoch), and `burst <= 1` sends one.
-///
 /// # Errors
 ///
 /// [`DaemonError::GaveUp`] when a reconnect round exhausts
@@ -208,7 +194,6 @@ pub fn run_agent_with(
     client: usize,
     name: &str,
     retry: &AgentRetry,
-    burst: u32,
 ) -> Result<AgentOutcome, DaemonError> {
     let n_users = scenario.user_positions.len();
     if client >= n_users {
@@ -250,7 +235,7 @@ pub fn run_agent_with(
         // A restored attachment means this client was mid-session when
         // the controller died: the radio is still associated.
         agent.reattach(attached);
-        match serve(&mut stream, &mut agent, burst)? {
+        match serve(&mut stream, &mut agent)? {
             ServeEnd::Dismissed(outcome) => return Ok(outcome),
             // The daemon vanished mid-session (crash, restart,
             // read-deadline kill): dial again.
@@ -276,20 +261,14 @@ fn recv_failure_is_lost(e: &io::Error) -> bool {
 }
 
 /// Serves one connection until the daemon dismisses the agent or the
-/// connection is lost. A bursty agent sends each scan report `burst`
-/// times: the copies are redundant by construction (same epoch), which
-/// is exactly what the daemon's coalescing absorbs.
+/// connection is lost.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Protocol`] when the peer sends a well-formed frame an
 /// agent must never see — lost connections are a [`ServeEnd`], not an
 /// error.
-fn serve(
-    stream: &mut TcpStream,
-    agent: &mut AgentState,
-    burst: u32,
-) -> Result<ServeEnd, DaemonError> {
+fn serve(stream: &mut TcpStream, agent: &mut AgentState) -> Result<ServeEnd, DaemonError> {
     loop {
         let envelope = match wire::recv(stream) {
             Ok(Some(envelope)) => envelope,
@@ -324,15 +303,8 @@ fn serve(
         let Some(reply) = reply else {
             continue;
         };
-        let copies = match reply {
-            ToController::Report { .. } => burst.max(1),
-            _ => 1,
-        };
-        let frame = Envelope::Ctrl(reply);
-        for _ in 0..copies {
-            if wire::send(stream, &frame).is_err() {
-                return Ok(ServeEnd::Lost);
-            }
+        if wire::send(stream, &Envelope::Ctrl(reply)).is_err() {
+            return Ok(ServeEnd::Lost);
         }
     }
 }

@@ -32,15 +32,15 @@ use wolt_support::pool::TaskPool;
 use wolt_support::{crash_point, obs};
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
 use wolt_testbed::{
-    check_session, coalesce_frames, estimate_capacities, ControllerConfig, ControllerCore,
-    ControllerPolicy, Ended, EventOutcome, Input, Outbound, ReportFrame, SessionDriver,
-    SessionEvent, SessionProgress, Step, TestbedError,
+    check_session, estimate_capacities, ControllerConfig, ControllerCore, ControllerPolicy, Ended,
+    EventOutcome, Input, Outbound, SessionDriver, SessionEvent, SessionProgress, Step,
+    TestbedError,
 };
 
 use crate::inbox::{self, Inbox, InboxSender};
 use crate::server::{DaemonConfig, DaemonOutcome, DaemonStats, SiteDef};
 use crate::snapshot::DaemonSnapshot;
-use crate::store::SnapshotStore;
+use crate::store::{self, SnapshotStore};
 use crate::wire::{self, Envelope};
 use crate::DaemonError;
 
@@ -55,6 +55,10 @@ pub const CRASH_POST_SNAPSHOT: &str = "daemon.epoch.post_snapshot";
 /// The socket read timeout of a connection reader: the polling tick
 /// that counts out `read_stall` and lets an idle reader see `stop`.
 const READ_TICK: Duration = Duration::from_millis(25);
+
+/// How long a site waits for all of its agents to connect before giving
+/// up.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// How long one connect-wait [`SessionEngine::step`] blocks on the inbox
 /// before yielding, so a shard hosting several waiting sites keeps all
@@ -92,28 +96,6 @@ pub fn note_frame_out(bytes: usize) {
 /// load-bearing — dropping one would wedge a transaction or the session.
 pub fn incoming_sheddable(msg: &Incoming) -> bool {
     matches!(msg, Incoming::Msg(ToController::Report { .. }))
-}
-
-/// Converts a drained run of sheddable messages into core report frames.
-/// The inbox only batches consecutive messages matching
-/// [`incoming_sheddable`], so everything here is a scan report.
-fn report_frames(run: Vec<Incoming>) -> Vec<ReportFrame> {
-    run.into_iter()
-        .filter_map(|m| match m {
-            Incoming::Msg(ToController::Report {
-                client,
-                epoch,
-                rates,
-                attached,
-            }) => Some(ReportFrame {
-                client,
-                epoch,
-                rates,
-                attached,
-            }),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Everything a reader task can feed a session engine.
@@ -172,7 +154,6 @@ pub struct SessionEngine {
     scenario: Scenario,
     policy: ControllerPolicy,
     stop_after: Option<usize>,
-    connect_deadline: Duration,
     store: Option<SnapshotStore>,
     driver: SessionDriver,
     writers: Vec<Option<TcpStream>>,
@@ -194,7 +175,6 @@ pub struct SessionEngine {
     /// single-site daemon).
     ctr_epochs: Option<obs::Counter>,
     ctr_solved: Option<obs::Counter>,
-    ctr_coalesced: Option<obs::Counter>,
 }
 
 impl SessionEngine {
@@ -247,7 +227,7 @@ impl SessionEngine {
                 } else {
                     root.join(&id)
                 };
-                Some(SnapshotStore::open_site(dir, config.snapshot_keep, &id)?)
+                Some(SnapshotStore::open_site(dir, store::DEFAULT_KEEP, &id)?)
             }
             None => None,
         };
@@ -290,7 +270,6 @@ impl SessionEngine {
                 scenario,
                 policy,
                 stop_after,
-                connect_deadline: config.connect_deadline,
                 store,
                 driver,
                 writers: (0..n_users).map(|_| None).collect(),
@@ -306,7 +285,6 @@ impl SessionEngine {
                 teardown_started: None,
                 ctr_epochs: site_counter("epochs"),
                 ctr_solved: site_counter("solved"),
-                ctr_coalesced: site_counter("frames_coalesced"),
             },
             tx,
         ))
@@ -351,7 +329,7 @@ impl SessionEngine {
     /// One connect-wait poll: one bounded receive while registrations
     /// arrive.
     fn step_wait(&mut self, deadline: Option<Instant>) -> Result<EngineStep, DaemonError> {
-        let deadline = deadline.unwrap_or_else(|| Instant::now() + self.connect_deadline);
+        let deadline = deadline.unwrap_or_else(|| Instant::now() + CONNECT_DEADLINE);
         self.phase = Phase::Waiting {
             deadline: Some(deadline),
         };
@@ -527,15 +505,14 @@ impl SessionEngine {
     }
 
     /// Waits until `deadline` for the driver's next input: one protocol
-    /// message, or a drained run of scan reports coalesced to each
-    /// client's newest, or [`Input::Tick`] once the deadline passes.
+    /// message, or [`Input::Tick`] once the deadline passes.
     /// Registrations and disconnects are applied to the writers on the
     /// way. `None` when an operator stop arrived outside a transaction.
     fn recv(&mut self, deadline: Option<Duration>) -> Result<Option<Input>, DaemonError> {
         loop {
             let wait = deadline.map_or(WAIT_TICK, |d| d.saturating_sub(self.origin.elapsed()));
-            let mut run = match self.rx.recv_batch_timeout(wait, incoming_sheddable) {
-                Ok(run) => run,
+            let incoming = match self.rx.recv_timeout(wait) {
+                Ok(incoming) => incoming,
                 Err(RecvTimeoutError::Timeout) => return Ok(Some(Input::Tick)),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(TestbedError::ChannelClosed {
@@ -544,21 +521,7 @@ impl SessionEngine {
                     .into())
                 }
             };
-            if run.len() > 1 {
-                // A multi-message drain is, by construction, a
-                // consecutive run of scan reports: keep each client's
-                // newest and plan once for the whole burst.
-                self.msgs_in += run.len();
-                let (kept, dropped) = coalesce_frames(report_frames(run));
-                if dropped > 0 {
-                    obs::counter("daemon.frames_coalesced").add(dropped as u64);
-                    if let Some(c) = &self.ctr_coalesced {
-                        c.add(dropped as u64);
-                    }
-                }
-                return Ok(Some(Input::Reports(kept)));
-            }
-            match run.pop().expect("drained run is never empty") {
+            match incoming {
                 Incoming::Msg(msg) => {
                     self.msgs_in += 1;
                     return Ok(Some(Input::Msg(msg)));

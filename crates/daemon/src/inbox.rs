@@ -145,41 +145,11 @@ impl<T> Inbox<T> {
     /// expires, `Disconnected` when every sender is gone and the queue
     /// is drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let mut one = self.recv_batch_timeout(timeout, |_| false)?;
-        Ok(one.pop().expect("a drained batch is never empty"))
-    }
-
-    /// Blocks for the next message like [`recv_timeout`](Self::recv_timeout),
-    /// then — only if that first message satisfies `batchable` — drains
-    /// the run of *consecutive* already-queued batchable messages after
-    /// it, all under one lock acquisition. The drain is structural
-    /// (whatever is queued right now), never time-based: it stops at the
-    /// first non-batchable message, which stays queued, so lifecycle
-    /// ordering is untouched and an empty-beyond-the-first queue yields
-    /// a batch of one — the same message, in the same order, that
-    /// `recv_timeout` would have delivered.
-    ///
-    /// # Errors
-    ///
-    /// As [`recv_timeout`](Self::recv_timeout); the returned batch is
-    /// never empty.
-    pub fn recv_batch_timeout(
-        &self,
-        timeout: Duration,
-        batchable: fn(&T) -> bool,
-    ) -> Result<Vec<T>, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some((_, msg)) = state.queue.pop_front() {
-                let mut batch = vec![msg];
-                if batchable(&batch[0]) {
-                    while state.queue.front().is_some_and(|(_, m)| batchable(m)) {
-                        let (_, m) = state.queue.pop_front().expect("front just checked");
-                        batch.push(m);
-                    }
-                }
-                return Ok(batch);
+                return Ok(msg);
             }
             if state.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
@@ -284,52 +254,6 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(7));
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn batch_recv_drains_only_consecutive_batchable_runs() {
-        let (tx, rx) = channel::<u32>(0, odd_is_sheddable);
-        // Queue: [1, 3, 2, 5, 7] — odd is batchable here too.
-        for n in [1, 3, 2, 5, 7] {
-            tx.send(n).unwrap();
-        }
-        // First message odd → drains the odd run, stops before 2.
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::ZERO, odd_is_sheddable),
-            Ok(vec![1, 3])
-        );
-        // First message even → a batch of exactly one, run untouched.
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::ZERO, odd_is_sheddable),
-            Ok(vec![2])
-        );
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::ZERO, odd_is_sheddable),
-            Ok(vec![5, 7])
-        );
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::from_millis(2), odd_is_sheddable),
-            Err(RecvTimeoutError::Timeout)
-        );
-    }
-
-    #[test]
-    fn batch_recv_mirrors_recv_timeout_errors() {
-        let (tx, rx) = channel::<u32>(0, odd_is_sheddable);
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::from_millis(2), odd_is_sheddable),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        drop(tx);
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::from_millis(2), odd_is_sheddable),
-            Ok(vec![9])
-        );
-        assert_eq!(
-            rx.recv_batch_timeout(Duration::from_millis(2), odd_is_sheddable),
             Err(RecvTimeoutError::Disconnected)
         );
     }

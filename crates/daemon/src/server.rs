@@ -91,7 +91,7 @@ use wolt_testbed::{check_session, ControllerPolicy, Deadlines, SessionEvent, Ses
 use crate::engine::{self, EngineStep, SessionEngine};
 use crate::router::{FleetRouter, SiteProgress};
 use crate::wire::{self, Envelope, FleetOp, SiteSpec};
-use crate::{shard, spec, store, DaemonError};
+use crate::{shard, spec, DaemonError};
 
 pub use crate::engine::{CRASH_POST_SNAPSHOT, CRASH_PRE_SNAPSHOT};
 
@@ -121,17 +121,11 @@ pub struct DaemonConfig {
     /// directly in it, a named site under `<snapshot_dir>/<id>/`. `None`
     /// disables persistence.
     pub snapshot_dir: Option<PathBuf>,
-    /// Snapshot generations kept on disk per site (must be ≥ 1 when
-    /// persistence is on); older generations are pruned after each save.
-    pub snapshot_keep: usize,
     /// Stop the anonymous site (snapshot + graceful shutdown) after this
     /// many events have completed in total — an operational kill switch
     /// and the hook the restart tests use to stop deterministically
     /// mid-session.
     pub stop_after: Option<usize>,
-    /// How long each site waits for all of its agents to connect before
-    /// giving up.
-    pub connect_deadline: Duration,
     /// How long to keep the listener (and metrics service) alive after
     /// the last site's last event, before dismissing its agents and
     /// shutting down. Zero by default. Gives external scrapers a
@@ -164,9 +158,7 @@ impl DaemonConfig {
             deadlines: Deadlines::default(),
             noise_seed: 0,
             snapshot_dir: None,
-            snapshot_keep: store::DEFAULT_KEEP,
             stop_after: None,
-            connect_deadline: Duration::from_secs(30),
             linger: Duration::ZERO,
             max_connections: 0,
             inbox_cap: 0,

@@ -62,7 +62,7 @@ pub const TRAILER_BYTES: usize = 12;
 /// (u32 BE).
 pub const HEADER_BYTES: usize = 8;
 
-/// Default number of generations kept on disk.
+/// Number of generations each daemon site keeps on disk.
 pub const DEFAULT_KEEP: usize = 3;
 
 /// Crash point: fires between the two halves of the payload write, so an

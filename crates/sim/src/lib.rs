@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod dynamics;
-pub mod events;
 pub mod experiment;
 pub mod flowsim;
 pub mod metrics;

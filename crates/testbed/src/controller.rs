@@ -50,53 +50,6 @@ pub struct Directive {
     pub seq: u64,
 }
 
-/// One inbound scan report, as a transport queues it for batch
-/// ingestion via [`ControllerCore::handle_report_batch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportFrame {
-    /// Reporting client.
-    pub client: usize,
-    /// Epoch of the join event that produced the report.
-    pub epoch: u64,
-    /// Scanned per-extender achievable rates (`None` = unreachable).
-    pub rates: Vec<Option<Mbps>>,
-    /// Extender the client attached to on its own.
-    pub attached: usize,
-}
-
-/// What [`ControllerCore::handle_report_batch`] did with a drained batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// Directives produced by the single batch plan.
-    pub directives: Vec<Directive>,
-    /// Frames actually ingested (duplicates by epoch are skipped).
-    pub ingested: usize,
-    /// Epoch of the last ingested frame, if any was.
-    pub last_epoch: Option<u64>,
-}
-
-/// Coalesces a drained run of report frames to each client's newest (by
-/// arrival order): a frame is dropped when a later frame from the same
-/// client is present, exactly as if the stale frame were deleted from
-/// the queue in place — survivor order is arrival order. Returns the
-/// survivors and the number of frames dropped. Pure queue-shape logic:
-/// no clocks, so a given arrival order always coalesces identically.
-pub fn coalesce_frames(frames: Vec<ReportFrame>) -> (Vec<ReportFrame>, usize) {
-    let total = frames.len();
-    let mut seen: Vec<usize> = Vec::new();
-    let mut kept: Vec<ReportFrame> = Vec::with_capacity(total);
-    for frame in frames.into_iter().rev() {
-        if seen.contains(&frame.client) {
-            continue;
-        }
-        seen.push(frame.client);
-        kept.push(frame);
-    }
-    kept.reverse();
-    let dropped = total - kept.len();
-    (kept, dropped)
-}
-
 /// Immutable controller configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
@@ -210,60 +163,6 @@ impl ControllerCore {
         self.plan(Some(client))
     }
 
-    /// Ingests a drained batch of scan reports and plans **once**: each
-    /// non-duplicate frame is applied in arrival order (same per-frame
-    /// bookkeeping as [`handle_report`](Self::handle_report)), then a
-    /// single solve — with the network view built once — diffs the
-    /// directives. A batch with one ingested frame is byte-identical to
-    /// `handle_report` on that frame; duplicates are skipped internally
-    /// (no [`is_duplicate`](Self::is_duplicate) pre-check needed), so a
-    /// frame whose epoch an earlier frame of the same batch already
-    /// advanced past is absorbed here too.
-    ///
-    /// A merged batch (two or more frames ingested) may plan
-    /// warm-started: WOLT re-polishes the previous complete association
-    /// against the batched telemetry (`core.warm_solves`) instead of
-    /// re-solving from scratch, falling back to the cold two-phase solve
-    /// when no usable previous plan exists.
-    ///
-    /// # Errors
-    ///
-    /// As [`handle_report`](Self::handle_report).
-    pub fn handle_report_batch(
-        &mut self,
-        frames: &[ReportFrame],
-    ) -> Result<BatchOutcome, TestbedError> {
-        let mut ingested = 0usize;
-        let mut last: Option<(usize, u64)> = None;
-        for frame in frames {
-            if self.is_duplicate(frame.epoch) {
-                continue;
-            }
-            obs::counter_inc("cc.reports");
-            self.begin_epoch(frame.epoch);
-            self.telemetry
-                .record(frame.client, frame.epoch, &frame.rates);
-            self.association[frame.client] = Some(frame.attached);
-            self.dead[frame.client] = false;
-            self.latest_seq[frame.client] = None;
-            ingested += 1;
-            last = Some((frame.client, frame.epoch));
-        }
-        let Some((arriving, last_epoch)) = last else {
-            return Ok(BatchOutcome {
-                directives: Vec::new(),
-                ingested: 0,
-                last_epoch: None,
-            });
-        };
-        let directives = self.plan_with(Some(arriving), ingested > 1)?;
-        Ok(BatchOutcome {
-            directives,
-            ingested,
-            last_epoch: Some(last_epoch),
-        })
-    }
-
     /// Ingests a departure notice: forgets the client and — for WOLT,
     /// which re-optimizes survivors — returns the resulting directives.
     /// The baselines leave everyone where they are.
@@ -326,19 +225,6 @@ impl ControllerCore {
     /// every live client whose target changed, in ascending client
     /// order. Assigns sequence numbers and counts issued directives.
     fn plan(&mut self, arriving: Option<usize>) -> Result<Vec<Directive>, TestbedError> {
-        self.plan_with(arriving, false)
-    }
-
-    /// [`plan`](Self::plan) with an explicit warm-start permission:
-    /// `warm` lets WOLT re-polish the previous complete association
-    /// instead of re-solving from scratch. Only merged report batches
-    /// pass `true`; every single-event path stays cold so its decisions
-    /// are bit-for-bit those of the pre-batching controller.
-    fn plan_with(
-        &mut self,
-        arriving: Option<usize>,
-        warm: bool,
-    ) -> Result<Vec<Directive>, TestbedError> {
         if self.config.policy == ControllerPolicy::Rssi {
             return Ok(Vec::new());
         }
@@ -353,7 +239,7 @@ impl ControllerCore {
         }
         let desired = match self
             .ensure_view(&known)
-            .and_then(|()| self.plan_targets(&known, arriving, warm))
+            .and_then(|()| self.plan_targets(&known, arriving))
         {
             Ok(d) => d,
             Err(e) if self.config.strict => return Err(e),
@@ -390,7 +276,6 @@ impl ControllerCore {
         &self,
         known: &[usize],
         arriving: Option<usize>,
-        warm: bool,
     ) -> Result<Vec<usize>, TestbedError> {
         let (net, current) = self.current_view(known)?;
         match self.config.policy {
@@ -435,21 +320,12 @@ impl ControllerCore {
                 Ok(desired)
             }
             ControllerPolicy::Wolt => {
-                let wolt = Wolt::new();
-                // A merged batch may warm-start: re-polish the previous
-                // complete association against the batched telemetry
-                // instead of re-running both phases. Any failure — a
-                // partial previous plan, a validation error against the
-                // shifted view — falls back to the cold solve.
-                let assoc = if warm && current.is_complete() {
-                    wolt.warm_associate(net, &current)
-                } else {
-                    Err(wolt_core::CoreError::IncompleteAssociation { user: 0 })
-                }
-                .or_else(|_| wolt.associate(net))
-                .map_err(|e| TestbedError::AssignmentFailed {
-                    context: e.to_string(),
-                })?;
+                let assoc =
+                    Wolt::new()
+                        .associate(net)
+                        .map_err(|e| TestbedError::AssignmentFailed {
+                            context: e.to_string(),
+                        })?;
                 (0..net.users())
                     .map(|v| {
                         assoc
@@ -766,130 +642,6 @@ mod tests {
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(seqs, sorted);
-    }
-
-    fn frame(client: usize, epoch: u64, rates: &[Option<Mbps>], attached: usize) -> ReportFrame {
-        ReportFrame {
-            client,
-            epoch,
-            rates: rates.to_vec(),
-            attached,
-        }
-    }
-
-    #[test]
-    fn coalesce_keeps_each_clients_newest_in_arrival_order() {
-        let a1 = frame(0, 5, &[mb(10.0)], 0);
-        let b1 = frame(1, 6, &[mb(20.0)], 0);
-        let a2 = frame(0, 7, &[mb(30.0)], 0);
-        let (kept, dropped) = coalesce_frames(vec![a1, b1.clone(), a2.clone()]);
-        // a1 is deleted in place; survivor order is arrival order.
-        assert_eq!(kept, vec![b1, a2]);
-        assert_eq!(dropped, 1);
-        let (kept, dropped) = coalesce_frames(Vec::new());
-        assert!(kept.is_empty());
-        assert_eq!(dropped, 0);
-        // A same-client burst collapses to its last copy.
-        let burst: Vec<ReportFrame> = (0..5).map(|e| frame(2, e, &[mb(1.0)], 0)).collect();
-        let (kept, dropped) = coalesce_frames(burst.clone());
-        assert_eq!(kept, vec![burst[4].clone()]);
-        assert_eq!(dropped, 4);
-    }
-
-    #[test]
-    fn batch_of_one_matches_handle_report_exactly() {
-        for policy in [
-            ControllerPolicy::Wolt,
-            ControllerPolicy::Greedy,
-            ControllerPolicy::Rssi,
-        ] {
-            let mut single = core(policy, 2, &[60.0, 20.0]);
-            let mut batched = single.clone();
-            let mut singles = Vec::new();
-            let events = [
-                frame(0, 0, &[mb(15.0), mb(10.0)], 0),
-                frame(1, 1, &[mb(40.0), mb(20.0)], 0),
-            ];
-            for f in &events {
-                assert!(!single.is_duplicate(f.epoch));
-                singles.push(single.handle_report(f.client, f.epoch, &f.rates, f.attached));
-            }
-            for (f, expect) in events.iter().zip(singles) {
-                let outcome = batched
-                    .handle_report_batch(std::slice::from_ref(f))
-                    .unwrap();
-                assert_eq!(outcome.directives, expect.unwrap(), "{policy:?}");
-                assert_eq!(outcome.ingested, 1);
-                assert_eq!(outcome.last_epoch, Some(f.epoch));
-            }
-            // The full decision state agrees, byte for byte.
-            assert_eq!(
-                single.snapshot().to_json().to_pretty(),
-                batched.snapshot().to_json().to_pretty(),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_skips_duplicates_and_plans_once() {
-        let mut cc = core(ControllerPolicy::Wolt, 2, &[60.0, 20.0]);
-        cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
-        // A stale epoch, a same-batch burst, and a fresh frame together:
-        // only the two fresh ones are ingested.
-        let outcome = cc
-            .handle_report_batch(&[
-                frame(0, 0, &[mb(15.0), mb(10.0)], 0),
-                frame(1, 1, &[mb(40.0), mb(20.0)], 0),
-                frame(1, 1, &[mb(40.0), mb(20.0)], 0),
-                frame(0, 2, &[mb(15.0), mb(10.0)], 0),
-            ])
-            .unwrap();
-        assert_eq!(outcome.ingested, 2);
-        assert_eq!(outcome.last_epoch, Some(2));
-        assert_eq!(cc.watermark(), Some(2));
-        // An all-duplicate batch is a no-op.
-        let outcome = cc
-            .handle_report_batch(&[frame(0, 1, &[mb(15.0), mb(10.0)], 0)])
-            .unwrap();
-        assert_eq!(
-            outcome,
-            BatchOutcome {
-                directives: Vec::new(),
-                ingested: 0,
-                last_epoch: None,
-            }
-        );
-    }
-
-    #[test]
-    fn merged_batches_are_deterministic_and_valid() {
-        // Two identical cores fed the same merged batch (the warm-start
-        // path) must agree exactly — and with a strict config the batch
-        // must plan, not degrade.
-        let mk = || {
-            let mut cc = core(ControllerPolicy::Wolt, 3, &[60.0, 20.0]);
-            cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
-            cc.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
-            cc
-        };
-        let batch = [
-            frame(2, 2, &[mb(25.0), mb(30.0)], 0),
-            frame(0, 3, &[mb(15.0), mb(10.0)], 0),
-        ];
-        let (mut a, mut b) = (mk(), mk());
-        let oa = a.handle_report_batch(&batch).unwrap();
-        let ob = b.handle_report_batch(&batch).unwrap();
-        assert_eq!(oa, ob);
-        assert_eq!(oa.ingested, 2);
-        assert_eq!(
-            a.snapshot().to_json().to_pretty(),
-            b.snapshot().to_json().to_pretty()
-        );
-        // Every client ends attached somewhere valid.
-        for dir in &oa.directives {
-            assert!(dir.extender < 2);
-        }
     }
 
     #[test]

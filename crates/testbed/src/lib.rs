@@ -60,10 +60,7 @@ pub mod session;
 
 mod error;
 
-pub use controller::{
-    coalesce_frames, BatchOutcome, ControllerConfig, ControllerCore, ControllerSnapshot, Directive,
-    ReportFrame,
-};
+pub use controller::{ControllerConfig, ControllerCore, ControllerSnapshot, Directive};
 pub use error::TestbedError;
 pub use faults::{FaultPlan, LinkFaults};
 pub use rig::{

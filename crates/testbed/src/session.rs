@@ -22,8 +22,11 @@
 //!   directives it plans, retransmitting each on the ack backoff until
 //!   it is acked or its client misses [`Deadlines::ack_attempts`] and is
 //!   declared dead, which replans the survivors;
-//! * rejects a report or departure for a newer epoch while a transaction
-//!   is open: events are serialized, so one means the session broke.
+//! * plans only what an honest agent can send: nothing while a
+//!   transaction is open (an answer then is a retransmission), and for
+//!   the event in flight or a later one only that event's own answer, so
+//!   a forged epoch cannot move the watermark past the honest answers to
+//!   come.
 //!
 //! What stays with the transport: the clock and blocking waits, delivery
 //! (a fault plan or sockets), whether an event that never completed is
@@ -41,7 +44,7 @@ use wolt_support::obs;
 use wolt_support::rng::{ChaCha8Rng, SeedableRng};
 use wolt_units::Mbps;
 
-use crate::controller::{ControllerCore, Directive, ReportFrame};
+use crate::controller::{ControllerCore, Directive};
 use crate::protocol::{ToAgent, ToController};
 use crate::rig::{Deadlines, SessionEvent, SessionReport, TopologyOutcome};
 use crate::TestbedError;
@@ -151,9 +154,6 @@ pub enum Input {
     Tick,
     /// One protocol message from an agent.
     Msg(ToController),
-    /// A drained run of scan reports, ingested and planned as one batch
-    /// (see [`ControllerCore::handle_report_batch`]).
-    Reports(Vec<ReportFrame>),
     /// The transport could not deliver a command to this client: its
     /// agent is gone.
     Unreachable(usize),
@@ -377,9 +377,8 @@ impl SessionDriver {
     ///
     /// # Errors
     ///
-    /// [`TestbedError::AssignmentFailed`] for a report or departure of a
-    /// newer epoch while a transaction is open, and whatever the core
-    /// returns from planning (a failed solve, in strict mode).
+    /// Whatever the core returns from planning (a failed solve, in strict
+    /// mode).
     pub fn handle(&mut self, now: Duration, input: Input) -> Result<Step, TestbedError> {
         let mut step = Step::default();
         match input {
@@ -390,17 +389,13 @@ impl SessionDriver {
                 rates,
                 attached,
             }) => {
-                let frame = ReportFrame {
-                    client,
-                    epoch,
-                    rates,
-                    attached,
-                };
-                self.reports(now, std::slice::from_ref(&frame), &mut step)?;
+                if self.plans(SessionEvent::Join(client), epoch) {
+                    let directives = self.core.handle_report(client, epoch, &rates, attached)?;
+                    self.open(now, epoch, directives, &mut step);
+                }
             }
-            Input::Reports(frames) => self.reports(now, &frames, &mut step)?,
             Input::Msg(ToController::Departed { client, epoch }) => {
-                if !self.mid_transaction(Some(epoch))? && !self.core.is_duplicate(epoch) {
+                if self.plans(SessionEvent::Leave(client), epoch) {
                     let directives = self.core.handle_departed(client, epoch)?;
                     self.open(now, epoch, directives, &mut step);
                 }
@@ -513,39 +508,25 @@ impl SessionDriver {
         })
     }
 
-    /// Whether a transaction is open, so a report or departure of
-    /// `epoch` (or older) is a retransmission to drop.
-    ///
-    /// # Errors
-    ///
-    /// A newer epoch mid-transaction: events stopped being serialized.
-    fn mid_transaction(&self, newest: Option<u64>) -> Result<bool, TestbedError> {
-        let Some(txn) = &self.txn else {
-            return Ok(false);
-        };
-        if newest.is_some_and(|e| e > txn.epoch) {
-            return Err(TestbedError::AssignmentFailed {
-                context: "unexpected message during directive transaction".to_string(),
-            });
+    /// Whether to plan `answer` (a report answers a join, a departure a
+    /// leave) sent for `epoch`. Nothing plans while a transaction is
+    /// open: an answer then is a retransmission. From the epoch of the
+    /// event in flight on (between events, the next one's) only that
+    /// event's own answer plans: nothing else there comes from an honest
+    /// agent, and planning it would lift the watermark over the honest
+    /// answers to come. An older epoch is a late answer to an ended
+    /// event, planned unless the core has seen it.
+    fn plans(&self, answer: SessionEvent, epoch: u64) -> bool {
+        if self.txn.is_some() {
+            return false;
         }
-        Ok(true)
-    }
-
-    /// Ingests scan reports and opens a transaction over the plan.
-    fn reports(
-        &mut self,
-        now: Duration,
-        frames: &[ReportFrame],
-        step: &mut Step,
-    ) -> Result<(), TestbedError> {
-        if self.mid_transaction(frames.iter().map(|f| f.epoch).max())? {
-            return Ok(());
-        }
-        let batch = self.core.handle_report_batch(frames)?;
-        if let Some(epoch) = batch.last_epoch {
-            self.open(now, epoch, batch.directives, step);
-        }
-        Ok(())
+        let current = self
+            .event
+            .map_or(self.progress.epochs_done as u64, |e| e.epoch);
+        let own = self
+            .event
+            .is_some_and(|e| e.epoch == epoch && e.event == answer);
+        (epoch < current || own) && !self.core.is_duplicate(epoch)
     }
 
     fn open(&mut self, now: Duration, epoch: u64, directives: Vec<Directive>, step: &mut Step) {
@@ -1008,42 +989,92 @@ mod tests {
         assert_eq!(d.core().association()[dir.client], Some(dir.extender));
     }
 
+    fn departed(client: usize, epoch: u64) -> Input {
+        Input::Msg(ToController::Departed { client, epoch })
+    }
+
     #[test]
-    fn a_newer_epoch_mid_transaction_is_an_error() {
+    fn a_newer_epoch_mid_transaction_is_dropped() {
         let mut d = fig3();
-        second_join_planned(&mut d);
-        // Retransmissions of the transaction's own epoch (or older) are
-        // dropped...
+        let (_, dir) = second_join_planned(&mut d);
+        // While a transaction is open, every report or departure is
+        // dropped: a retransmission of its own epoch, an older one, and
+        // a newer one, which no honest agent sends before the next
+        // event begins.
         for input in [
             report(1, 1),
             report(0, 0),
-            Input::Msg(ToController::Departed {
-                client: 0,
-                epoch: 1,
-            }),
+            departed(0, 1),
+            report(0, 2),
+            departed(0, 2),
         ] {
             let step = d.handle(ms(5), input).unwrap();
-            assert!(step.sends.is_empty() && !step.planned);
+            assert!(step.sends.is_empty() && !step.planned && step.ended.is_none());
+            assert_eq!(step.deadline, Some(ms(25)));
         }
-        // ...but a newer one means events stopped being serialized.
+        assert_eq!(d.core().watermark(), Some(1));
+        let step = d
+            .handle(ms(10), ack(dir.client, dir.seq, dir.extender))
+            .unwrap();
+        assert_eq!(step.ended.map(|e| e.outcome), Some(EventOutcome::Completed));
+    }
+
+    #[test]
+    fn a_forged_epoch_is_dropped_and_the_honest_joins_complete() {
+        let mut d = fig3();
+        d.begin(ms(0)).unwrap().unwrap();
+        // During client 0's join, nothing but its own report for epoch 0
+        // plans: not client 1 claiming a far-future epoch (which would
+        // put both honest reports below the watermark), nor another
+        // client's or kind of answer for the event's epoch or a later one.
         for input in [
-            report(0, 2),
-            Input::Reports(vec![ReportFrame {
-                client: 0,
-                epoch: 2,
-                rates: vec![mb(15.0), mb(10.0)],
-                attached: 0,
-            }]),
-            Input::Msg(ToController::Departed {
-                client: 0,
-                epoch: 2,
-            }),
+            report(1, 999),
+            report(1, 0),
+            departed(0, 0),
+            report(0, 1),
+            departed(1, 1),
         ] {
-            assert!(matches!(
-                d.handle(ms(5), input),
-                Err(TestbedError::AssignmentFailed { .. })
-            ));
+            let step = d.handle(ms(1), input).unwrap();
+            assert!(step.sends.is_empty() && !step.planned && step.ended.is_none());
         }
+        assert_eq!(d.core().watermark(), None);
+        let step = d.handle(ms(2), report(0, 0)).unwrap();
+        assert!(step.planned);
+        assert_eq!(step.ended.map(|e| e.outcome), Some(EventOutcome::Completed));
+        d.begin(ms(2)).unwrap().unwrap();
+        let mut step = d.handle(ms(3), report(1, 1)).unwrap();
+        for dir in directed(&step) {
+            step = d
+                .handle(ms(4), ack(dir.client, dir.seq, dir.extender))
+                .unwrap();
+        }
+        assert_eq!(step.ended.map(|e| e.outcome), Some(EventOutcome::Completed));
+        assert_eq!(d.progress().present, vec![true, true]);
+        assert_eq!(d.progress().unresponsive, vec![false, false]);
+    }
+
+    #[test]
+    fn a_late_answer_to_an_ended_event_is_still_planned() {
+        let mut d = fig3();
+        let Deadlines {
+            event,
+            event_attempts,
+            ..
+        } = Deadlines::default();
+        d.begin(ms(0)).unwrap().unwrap();
+        let timed_out = event * event_attempts;
+        for attempt in 1..=event_attempts {
+            d.handle(event * attempt, Input::Tick).unwrap();
+        }
+        assert_eq!(d.progress().unresponsive, vec![true, false]);
+        d.begin(timed_out).unwrap().unwrap();
+        // Client 0's report for epoch 0 arrives during client 1's join:
+        // older than the event in flight, and new to the core.
+        let step = d.handle(timed_out, report(0, 0)).unwrap();
+        assert!(step.planned && step.ended.is_none());
+        assert_eq!(d.core().watermark(), Some(0));
+        // A second copy is a duplicate.
+        assert!(!d.handle(timed_out, report(0, 0)).unwrap().planned);
     }
 
     #[test]

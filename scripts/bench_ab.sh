@@ -6,17 +6,19 @@
 # per end-to-end metric, each side's median and quartiles, the pairs the
 # change won, and whether the median gain exceeds the parent's
 # interquartile range; then every pair's values, and failed/attempted
-# events per side. After the pairs it runs each side once more, traced
-# (`--seconds 1 --trace 1`, first seed), and prints every per-layer
-# metric of BENCHMARK.json as parent / change. Any arguments after the
-# first five go to every perfbench run of both sides, timed and traced
-# alike. Writes nothing in the checkout. Run nothing else on the machine
-# while it times.
+# events per side. After the pairs it runs each side three times more,
+# traced (`--seconds 1 --trace 1`, first seed), in the order parent,
+# change, change, parent, parent, change, and prints every per-layer
+# metric of BENCHMARK.json as each side's median with its min and max:
+# one traced second spreads too widely for a delta between two runs to
+# mean anything. Any arguments after the first five go to every perfbench
+# run of both sides, timed and traced alike. Writes nothing in the
+# checkout. Run nothing else on the machine while it times.
 #
 #   bash scripts/bench_ab.sh <parent-rev> <change-rev> <workload> <pairs> <first-seed> [perfbench-arg...]
 #
 # e.g. `bash scripts/bench_ab.sh HEAD~1 HEAD enterprise-churn 10 21` takes
-# about 20 × 47 s, two traced runs of a few seconds, plus two builds;
+# about 20 × 47 s, six traced runs of a few seconds, plus two builds;
 # appending `--scenario-seed 1` runs the same pairs on the churn site of
 # scenario seed 1 instead of the workload's default site.
 set -euo pipefail
@@ -89,9 +91,12 @@ for ((k = 0; k < PAIRS; k++)); do
     fi
 done
 
-echo "traced runs: $WORKLOAD seed $FIRST_SEED, 1 s per run" >&2
-run parent trace "$FIRST_SEED" 1 1
-run change trace "$FIRST_SEED" 1 1
+echo "traced runs: $WORKLOAD seed $FIRST_SEED, 1 s per run, 3 per side" >&2
+declare -A TRACED=([parent]=0 [change]=0)
+for side in parent change change parent parent change; do
+    TRACED[$side]=$((TRACED[$side] + 1))
+    run "$side" "trace-${TRACED[$side]}" "$FIRST_SEED" 1 1
+done
 
 python3 - "$WORK/change/BENCHMARK.json" "$WORK/runs" "$PAIRS" "$FIRST_SEED" \
     "$PARENT" "$CHANGE" "$WORKLOAD" "${EXTRA[*]}" <<'EOF'
@@ -163,18 +168,24 @@ for side in ("parent", "change"):
           f"{len(got)}/{len(seeds)} runs gave a result line, {incorrect} not correct")
 
 print()
-traced = {side: load(side, "trace") for side in ("parent", "change")}
-print(f"traced layers (seed {seeds.start}, 1 s per run), parent / change:")
+TRACED = 3
+traced = {side: [r for r in (load(side, f"trace-{k}") for k in range(1, TRACED + 1)) if r]
+          for side in ("parent", "change")}
+print(f"traced layers (seed {seeds.start}, 1 s per run, {TRACED} alternating runs per side), "
+      "median [min-max]:")
+print(f"{'metric':<34} {'parent':<32} {'change':<32}")
 for metric in bench["per_layer"]:
     name = metric["name"]
-    p, c = (traced[side]["metrics"].get(name, {}).get("value") if traced[side] else None
-            for side in ("parent", "change"))
-    rel = f"{(c - p) / p * 100:+.1f}%" if p and c is not None else ""
-    cell = f"{fmt(p) if p is not None else '-'} / {fmt(c) if c is not None else '-'}"
-    print(f"{name:<34} {cell:<28} {rel:>8}  ({metric['unit']}, {metric['better']} is better)")
+    cells = []
+    for side in ("parent", "change"):
+        vals = [r["metrics"][name]["value"] for r in traced[side] if name in r["metrics"]]
+        cells.append(f"{fmt(statistics.median(vals))} [{fmt(min(vals))}-{fmt(max(vals))}]"
+                     if vals else "-")
+    print(f"{name:<34} {cells[0]:<32} {cells[1]:<32} "
+          f"({metric['unit']}, {metric['better']} is better)")
 for side in ("parent", "change"):
-    t = traced[side]
-    state = (f"failed/attempted {t['failed']}/{t['attempted']}, correct {t['correct']}"
-             if t else "gave no result line")
-    print(f"{side} traced run: {state}")
+    got = traced[side]
+    print(f"{side} traced runs: {len(got)}/{TRACED} gave a result line; failed/attempted "
+          f"{sum(r['failed'] for r in got)}/{sum(r['attempted'] for r in got)}, "
+          f"{sum(1 for r in got if not r['correct'])} not correct")
 EOF

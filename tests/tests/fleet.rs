@@ -134,7 +134,6 @@ fn run_fleet(defs: Vec<SiteDef>, snapshot_root: Option<PathBuf>) -> FleetOutcome
                         i,
                         &format!("{site}-{i}"),
                         &AgentRetry::default(),
-                        1,
                     )
                 })
             })
@@ -276,7 +275,7 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
                 seed: 0,
             };
             let started = Instant::now();
-            let result = run_agent_with(addr, &scenario, Some("phantom"), 0, "ghost", &retry, 1);
+            let result = run_agent_with(addr, &scenario, Some("phantom"), 0, "ghost", &retry);
             (result, started.elapsed())
         })
     };
@@ -291,7 +290,6 @@ fn unknown_site_is_fatal_to_the_agent_not_retried() {
                     i,
                     &format!("real-{i}"),
                     &AgentRetry::default(),
-                    1,
                 )
             })
         })
@@ -355,7 +353,6 @@ fn single_site_daemon_refuses_sited_hellos() {
         0,
         "misdirected",
         &AgentRetry::default(),
-        1,
     ) {
         Err(DaemonError::SiteGone { site }) => assert_eq!(site, "floor-9"),
         other => panic!("expected DaemonError::SiteGone, got {other:?}"),
@@ -499,7 +496,6 @@ fn fleet_ops_drive_a_live_fleet() {
             0,
             "fresh-0",
             &AgentRetry::default(),
-            1,
         )
     });
     let alpha_agents: Vec<_> = (0..2)
@@ -513,7 +509,6 @@ fn fleet_ops_drive_a_live_fleet() {
                     i,
                     &format!("alpha-{i}"),
                     &AgentRetry::default(),
-                    1,
                 )
             })
         })
