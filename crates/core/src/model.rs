@@ -177,9 +177,22 @@ impl Network {
     ///
     /// Panics if `i` is out of range.
     pub fn reachable_extenders(&self, i: usize) -> Vec<usize> {
-        (0..self.extenders())
-            .filter(|&j| self.reachable(i, j))
-            .collect()
+        self.links(i).map(|(j, _)| j).collect()
+    }
+
+    /// User `i`'s links: each extender it can reach, ascending, with the
+    /// rate `r_ij`, in one pass over the user's rate row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn links(&self, i: usize) -> impl Iterator<Item = (usize, Mbps)> + '_ {
+        self.rates
+            .row(i)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| usable(r))
+            .map(|(j, &r)| (j, Mbps::new(r)))
     }
 
     /// Validates an association against this network: known extenders,

@@ -13,11 +13,11 @@
 //! integral extraction (each user lands on its best extender), then a
 //! discrete coordinate-ascent polish. [`run_phase2_greedy`] skips the NLP
 //! and assigns users purely by marginal gain — the ablation showing what
-//! the fractional solve buys.
+//! the fractional solve buys. Both read each `U2` user's reachable
+//! extenders and their `1/r` from one packed table, built once per solve.
 
 use wolt_opt::{Objective, ProjectedGradient, SolveReport, Supports};
 use wolt_support::obs;
-use wolt_units::Mbps;
 use wolt_wifi::cell::CellLoad;
 
 use crate::{Association, CoreError, Network};
@@ -57,24 +57,25 @@ pub struct Phase2Outcome {
 
 /// The fractional Problem-2 objective over `U2` users' simplex rows, in
 /// the solver's packed layout: one entry per (user, reachable extender).
-struct Phase2Objective {
+struct Phase2Objective<'a> {
     /// Fixed `(user count, harmonic weight Σ 1/r)` per extender, from
     /// Phase I.
     fixed: Vec<(f64, f64)>,
-    /// Each packed entry's extender `j` and `1 / r_{user, j}`.
-    entries: Vec<(usize, f64)>,
+    /// Each packed entry's extender `j` and `1 / r_{user, j}`: the
+    /// [`U2Table`]'s links.
+    links: &'a [(usize, f64)],
     /// Per-extender `(mass N_j, weight S_j)` at the point last passed to
     /// `value`, which is where the solver takes the gradient. Kept as
     /// pairs, an entry's scatter-add indexes (and bounds-checks) once.
     totals: Vec<(f64, f64)>,
 }
 
-impl Phase2Objective {
-    fn new(fixed: Vec<(f64, f64)>, entries: Vec<(usize, f64)>) -> Self {
+impl<'a> Phase2Objective<'a> {
+    fn new(fixed: Vec<(f64, f64)>, links: &'a [(usize, f64)]) -> Self {
         Self {
             totals: fixed.clone(),
             fixed,
-            entries,
+            links,
         }
     }
 
@@ -85,7 +86,7 @@ impl Phase2Objective {
     /// a sum's bits unchanged.
     fn totals(&mut self, x: &[f64]) {
         self.totals.copy_from_slice(&self.fixed);
-        for (&v, &(j, inv_r)) in x.iter().zip(&self.entries) {
+        for (&v, &(j, inv_r)) in x.iter().zip(self.links) {
             let (mass, weight) = &mut self.totals[j];
             *mass += v;
             *weight += v * inv_r;
@@ -93,7 +94,7 @@ impl Phase2Objective {
     }
 }
 
-impl Objective for Phase2Objective {
+impl Objective for Phase2Objective<'_> {
     fn value(&mut self, x: &[f64]) -> f64 {
         self.totals(x);
         self.totals
@@ -104,7 +105,7 @@ impl Objective for Phase2Objective {
 
     /// Uses the totals `value` left at `x`.
     fn gradient(&mut self, _x: &[f64], grad: &mut [f64]) {
-        for (g, &(j, inv_r)) in grad.iter_mut().zip(&self.entries) {
+        for (g, &(j, inv_r)) in grad.iter_mut().zip(self.links) {
             let (m, w) = self.totals[j];
             *g = if w > 1e-12 {
                 // d/dx of (m + x)/(w + x/r) at the current point.
@@ -142,44 +143,32 @@ pub fn run_phase2(
         });
     }
 
-    let n_ext = net.extenders();
     let fixed = build_cells(net, phase1)
         .iter()
         .map(|c| (c.users() as f64, c.harmonic_weight()))
         .collect();
-
-    // One pass over each user's rate row: its reachable extenders (the
-    // row's support), their 1/r, and a uniform start over them.
-    let mut supports = Supports::new(n_ext);
-    let mut entries: Vec<(usize, f64)> = Vec::with_capacity(u2.len() * n_ext);
-    let mut x0 = Vec::with_capacity(u2.len() * n_ext);
-    for &i in &u2 {
-        let first = entries.len();
-        entries.extend((0..n_ext).filter_map(|j| net.rate(i, j).map(|r| (j, 1.0 / r.value()))));
-        supports.push_row(entries[first..].iter().map(|&(j, _)| j));
-        let reachable = (entries.len() - first) as f64;
-        x0.resize(entries.len(), 1.0 / reachable);
-    }
-
-    let mut objective = Phase2Objective::new(fixed, entries);
-    let report = config.solver.maximize(&mut objective, x0, &supports)?;
+    let U2Table {
+        supports,
+        links,
+        x0,
+    } = U2Table::new(net, &u2);
+    let mut objective = Phase2Objective::new(fixed, &links);
+    let report = config.solver.maximize(&mut objective, x0, supports)?;
 
     // Theorem-3 integral extraction: each user snaps to its largest
-    // fractional coordinate (a tie goes to the higher extender)...
+    // fractional coordinate (a tie goes to the higher extender), read in
+    // place from the packed iterate...
     let mut association = phase1.clone();
     for (k, &i) in u2.iter().enumerate() {
-        let row = &report.x[k];
-        let best = supports
-            .row(k)
-            .iter()
-            .copied()
+        let row = report.row(k);
+        let best = (0..row.len())
             .max_by(|&a, &b| row[a].partial_cmp(&row[b]).expect("finite x"))
             .expect("validated users reach at least one extender");
-        association.assign(i, best);
+        association.assign(i, report.supports.row(k)[best]);
     }
     // ...then a discrete coordinate-ascent polish removes any extraction
     // loss (Theorem 3 guarantees an integral optimum exists).
-    polish(net, &mut association, &u2, config);
+    polish(net, &mut association, &u2, &report.supports, &links, config);
 
     let wifi_objective = wifi_objective(net, &association);
     Ok(Phase2Outcome {
@@ -205,21 +194,29 @@ pub fn run_phase2_greedy(
     let u2 = phase1.unassigned_users();
     let mut association = phase1.clone();
 
+    let table = U2Table::new(net, &u2);
     let mut cells = build_cells(net, &association);
-    for &i in &u2 {
-        let mut best: Option<(usize, f64)> = None;
-        for j in net.reachable_extenders(i) {
-            let rate = net.rate(i, j).expect("reachable");
-            let gain = cells[j].aggregate_if_joined(rate).value() - cells[j].aggregate().value();
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((j, gain));
+    for (k, &i) in u2.iter().enumerate() {
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &(j, inv_r) in &table.links[table.supports.span(k)] {
+            let gain =
+                cells[j].aggregate_if_joined_inverse(inv_r).value() - cells[j].aggregate().value();
+            if best.is_none_or(|(_, _, g)| gain > g) {
+                best = Some((j, inv_r, gain));
             }
         }
-        let (j, _) = best.expect("validated users reach at least one extender");
-        cells[j].join(net.rate(i, j).expect("reachable"));
+        let (j, inv_r, _) = best.expect("validated users reach at least one extender");
+        cells[j].join_inverse(inv_r);
         association.assign(i, j);
     }
-    polish(net, &mut association, &u2, config);
+    polish(
+        net,
+        &mut association,
+        &u2,
+        &table.supports,
+        &table.links,
+        config,
+    );
 
     let wifi_objective = wifi_objective(net, &association);
     Ok(Phase2Outcome {
@@ -247,9 +244,43 @@ fn build_cells(net: &Network, assoc: &Association) -> Vec<CellLoad> {
     cells
 }
 
+/// Phase II's packed table, built in one pass over the `U2` users' rate
+/// rows: row `k` lists user `u2[k]`'s reachable extenders (the row's
+/// support, ascending), each with `1 / r`, and the uniform start point
+/// over them. The solve, the extraction and the polish all read it; no
+/// later step looks a rate up again.
+struct U2Table {
+    supports: Supports,
+    /// Each packed entry's extender `j` and `1 / r_{user, j}`.
+    links: Vec<(usize, f64)>,
+    /// The packed start point: `1 / reachable` on each row's entries.
+    x0: Vec<f64>,
+}
+
+impl U2Table {
+    fn new(net: &Network, u2: &[usize]) -> Self {
+        let n_ext = net.extenders();
+        let mut supports = Supports::new(n_ext);
+        let mut links: Vec<(usize, f64)> = Vec::with_capacity(u2.len() * n_ext);
+        let mut x0 = Vec::with_capacity(u2.len() * n_ext);
+        for &i in u2 {
+            let first = links.len();
+            links.extend(net.links(i).map(|(j, r)| (j, 1.0 / r.value())));
+            supports.push_row(links[first..].iter().map(|&(j, _)| j));
+            let reachable = (links.len() - first) as f64;
+            x0.resize(links.len(), 1.0 / reachable);
+        }
+        Self {
+            supports,
+            links,
+            x0,
+        }
+    }
+}
+
 /// The polish's cells: each extender's [`CellLoad`] (member count and
 /// harmonic weight Σ 1/r) and its cached aggregate, so that scoring a
-/// candidate costs one join term.
+/// candidate costs one join term, from the table's cached `1 / r`.
 struct PolishCells {
     loads: Vec<CellLoad>,
     aggregate: Vec<f64>,
@@ -263,62 +294,68 @@ impl PolishCells {
         Self { loads, aggregate }
     }
 
-    /// The change in extender `j`'s aggregate if a member at `rate` left.
-    fn leave_delta(&self, j: usize, rate: Mbps) -> f64 {
-        self.loads[j].aggregate_if_left(rate).value() - self.aggregate[j]
+    /// The change in extender `j`'s aggregate if a member of inverse rate
+    /// `inv_r` left.
+    fn leave_delta(&self, j: usize, inv_r: f64) -> f64 {
+        self.loads[j].aggregate_if_left_inverse(inv_r).value() - self.aggregate[j]
     }
 
-    /// The change in extender `j`'s aggregate if a user at `rate` joined.
-    fn join_delta(&self, j: usize, rate: Mbps) -> f64 {
-        self.loads[j].aggregate_if_joined(rate).value() - self.aggregate[j]
+    /// The change in extender `j`'s aggregate if a user of inverse rate
+    /// `inv_r` joined.
+    fn join_delta(&self, j: usize, inv_r: f64) -> f64 {
+        self.loads[j].aggregate_if_joined_inverse(inv_r).value() - self.aggregate[j]
     }
 
-    /// Moves a user from extender `from` (at `from_rate`) to `to` (at
-    /// `to_rate`).
-    fn apply(&mut self, from: usize, from_rate: Mbps, to: usize, to_rate: Mbps) {
-        self.loads[from].leave(from_rate);
-        self.loads[to].join(to_rate);
+    /// Moves a user from extender `from` (at inverse rate `from_inv`) to
+    /// `to` (at `to_inv`).
+    fn apply(&mut self, from: usize, from_inv: f64, to: usize, to_inv: f64) {
+        self.loads[from].leave_inverse(from_inv);
+        self.loads[to].join_inverse(to_inv);
         self.aggregate[from] = self.loads[from].aggregate().value();
         self.aggregate[to] = self.loads[to].aggregate().value();
     }
 }
 
-/// The rate of a link the association uses.
-fn link_rate(net: &Network, i: usize, j: usize) -> Mbps {
-    net.rate(i, j).expect("associated links are reachable")
-}
-
 /// Discrete coordinate ascent: move one user of `movable` at a time to
 /// the extender that most improves Σ_j T_wifi(j), until a full pass
 /// finds no move worth more than `polish_tol` (or the pass budget runs
-/// out).
+/// out). Row `k` of `supports` spans `movable[k]`'s entries of `links`:
+/// its reachable extenders with their `1 / r`, as [`U2Table`] packs them.
 ///
 /// A candidate's score is the user's leave term, computed once per user
-/// and pass, plus the candidate's join term, both from [`PolishCells`].
-/// No PLC allocation is involved: the polish ranks the WiFi-side
-/// objective only. Moves into a cell at its user limit are skipped; a
-/// start that already breaks a limit is polished as it is and left for
-/// the caller to repair. Candidates and moves are added to
-/// `core.incremental_probes` and `core.incremental_applies` once per
-/// polish.
-fn polish(net: &Network, assoc: &mut Association, movable: &[usize], config: &Phase2Config) {
+/// and pass, plus the candidate's join term, both from [`PolishCells`]
+/// and the links' cached `1 / r`. No PLC allocation is involved: the
+/// polish ranks the WiFi-side objective only. Moves into a cell at its
+/// user limit are skipped; a start that already breaks a limit is
+/// polished as it is and left for the caller to repair. Candidates and
+/// moves are added to `core.incremental_probes` and
+/// `core.incremental_applies` once per polish.
+fn polish(
+    net: &Network,
+    assoc: &mut Association,
+    movable: &[usize],
+    supports: &Supports,
+    links: &[(usize, f64)],
+    config: &Phase2Config,
+) {
     let mut cells = PolishCells::new(net, assoc);
     let (mut rounds, mut probes, mut applies) = (0u64, 0u64, 0u64);
     for _ in 0..config.polish_passes {
         rounds += 1;
         let mut improved = false;
-        for &i in movable {
+        for (k, &i) in movable.iter().enumerate() {
+            let row = &links[supports.span(k)];
             let current = assoc.target(i).expect("movable users are assigned");
-            let current_rate = link_rate(net, i, current);
-            let leave = cells.leave_delta(current, current_rate);
-            let mut best: Option<(usize, Mbps, f64)> = None;
-            for j in 0..net.extenders() {
+            let &(_, current_inv) = row
+                .iter()
+                .find(|&&(j, _)| j == current)
+                .expect("associated links are reachable");
+            let leave = cells.leave_delta(current, current_inv);
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &(j, inv_r) in row {
                 if j == current {
                     continue;
                 }
-                let Some(rate) = net.rate(i, j) else {
-                    continue;
-                };
                 probes += 1;
                 if net
                     .user_limit(j)
@@ -326,13 +363,13 @@ fn polish(net: &Network, assoc: &mut Association, movable: &[usize], config: &Ph
                 {
                     continue; // full cell — inadmissible candidate
                 }
-                let delta = leave + cells.join_delta(j, rate);
+                let delta = leave + cells.join_delta(j, inv_r);
                 if delta > config.polish_tol && best.is_none_or(|(_, _, d)| delta > d) {
-                    best = Some((j, rate, delta));
+                    best = Some((j, inv_r, delta));
                 }
             }
-            if let Some((j, rate, _)) = best {
-                cells.apply(current, current_rate, j, rate);
+            if let Some((j, inv_r, _)) = best {
+                cells.apply(current, current_inv, j, inv_r);
                 assoc.assign(i, j);
                 applies += 1;
                 improved = true;
@@ -407,7 +444,8 @@ mod tests {
         let p1 = run_phase1(&net).unwrap();
         let p2 = run_phase2(&net, &p1.association, &Phase2Config::default()).unwrap();
         let report = p2.fractional.expect("u2 non-empty");
-        for row in &report.x {
+        for k in 0..report.supports.rows() {
+            let row = report.row(k);
             let max = row.iter().cloned().fold(0.0, f64::max);
             assert!(
                 max > 0.9,
@@ -500,18 +538,20 @@ mod tests {
     fn polish_delta_matches_objective_difference() {
         let net = net_3x5();
         let assoc = Association::complete(vec![0, 1, 2, 0, 1]);
+        let users: Vec<usize> = (0..net.users()).collect();
+        let table = U2Table::new(&net, &users);
         let cells = PolishCells::new(&net, &assoc);
         let before = wifi_objective(&net, &assoc);
-        for user in 0..net.users() {
+        for user in users {
+            let row = &table.links[table.supports.span(user)];
             let current = assoc.target(user).unwrap();
-            let current_rate = link_rate(&net, user, current);
-            for j in net.reachable_extenders(user) {
+            let &(_, current_inv) = row.iter().find(|&&(j, _)| j == current).unwrap();
+            for &(j, inv_r) in row {
                 if j == current {
                     continue;
                 }
-                let rate = link_rate(&net, user, j);
-                // The score `polish` ranks.
-                let delta = cells.leave_delta(current, current_rate) + cells.join_delta(j, rate);
+                // The score `polish` ranks, from the packed table's 1/r.
+                let delta = cells.leave_delta(current, current_inv) + cells.join_delta(j, inv_r);
                 let mut moved = assoc.clone();
                 moved.assign(user, j);
                 let direct = wifi_objective(&net, &moved) - before;
@@ -522,7 +562,7 @@ mod tests {
 
                 // Applying the move leaves the moved association's cells.
                 let mut applied = PolishCells::new(&net, &assoc);
-                applied.apply(current, current_rate, j, rate);
+                applied.apply(current, current_inv, j, inv_r);
                 let fresh = PolishCells::new(&net, &moved);
                 for (a, b) in applied.loads.iter().zip(&fresh.loads) {
                     assert_eq!(a.users(), b.users());

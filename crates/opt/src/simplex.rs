@@ -213,7 +213,18 @@ impl Supports {
     ///
     /// Panics if `i` is out of range.
     pub fn row(&self, i: usize) -> &[usize] {
-        &self.coords[self.starts[i]..self.starts[i + 1]]
+        &self.coords[self.span(i)]
+    }
+
+    /// Where row `i`'s values lie in a packed vector, and its support in
+    /// [`Supports::row`]: a slice of the same range of any vector laid out
+    /// entry by entry like the packed one reads row `i`'s entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i]..self.starts[i + 1]
     }
 
     /// What makes these supports unusable for a solve, if anything: a row
