@@ -16,12 +16,15 @@
 //!   each span only their allowed coordinates (a user's reachable
 //!   extenders). The solver's in-place kernel sorts a row of at most 16
 //!   values with a fixed sorting network on the stack.
-//! * [`gradient`] — a projected-gradient ascent solver with Armijo
-//!   backtracking over per-row simplices, the stand-in for the paper's
-//!   interior-point solver (same feasible set and stopping rule, plus an
-//!   exit at first-order stationarity). It works in the packed layout end
-//!   to end: each row's values are contiguous, and each projection runs
-//!   in place over them.
+//! * [`gradient`] — a projected-gradient ascent solver with backtracking
+//!   over per-row simplices, the stand-in for the paper's interior-point
+//!   solver (same feasible set and stopping rule, plus an exit at
+//!   first-order stationarity). Every line search after the first starts
+//!   at the Barzilai–Borwein (spectral) step, so an objective that is flat
+//!   along most moves converges in a handful of iterations. It works in
+//!   the packed layout end to end: each row's values are contiguous, each
+//!   projection runs in place over them, and the final iterate comes back
+//!   packed.
 //! * [`brute`] — exhaustive search over integral assignments, used as the
 //!   optimality oracle on small instances (the paper's "optimal" policy of
 //!   Fig. 3d) and to validate the polynomial-time algorithms in tests.
