@@ -1,8 +1,8 @@
 //! The Phase II line search's work, pinned at enterprise scale.
 //!
-//! On the two sites `phase2_golden` pins, every solve ends at a
-//! stationary iterate: its last full-step trial is rejected without
-//! moving, and the solve stops there instead of backtracking. These pins
+//! On the two sites `phase2_golden` pins, every line search evaluates
+//! one trial, its first (at the configured step in the first iteration,
+//! at the spectral step after it): no search backtracks. These pins
 //! count the trial points the line searches evaluated, one objective
 //! evaluation each, and check that `Wolt::associate_detailed` adds them
 //! to the `core.phase2_trials` counter. They also pin the discrete
@@ -34,9 +34,8 @@ fn polish_work(before: &obs::ObsSnapshot, after: &obs::ObsSnapshot) -> [u64; 3] 
 fn line_search_trials_are_pinned_and_counted() {
     obs::set_enabled(true);
     // (scenario seed, iterations, trials, [probes, applies, rounds]):
-    // every iteration but the last accepts its full step, and the last
-    // rejects it as stationary; the polish then finds no move.
-    for (seed, iterations, trials, work) in [(2, 6, 6, [1788, 0, 1]), (1, 78, 78, [2067, 0, 1])] {
+    // one trial per iteration; the polish then finds no move.
+    for (seed, iterations, trials, work) in [(2, 3, 3, [1788, 0, 1]), (1, 6, 6, [2067, 0, 1])] {
         let net = enterprise_network(USERS, seed);
         let before = obs::snapshot();
         let (_, p2) = Wolt::new()
