@@ -66,7 +66,6 @@ pub mod phase1;
 pub mod phase2;
 pub mod problem;
 pub mod report;
-pub mod telemetry;
 
 mod algorithm;
 mod error;
@@ -81,5 +80,4 @@ pub use model::{Association, Network};
 pub use online::{OnlineOutcome, OnlineWolt};
 pub use phase1::{Phase1Solver, Phase1Utility};
 pub use policy::AssociationPolicy;
-pub use telemetry::{TelemetryCache, TelemetryEntry};
 pub use throughput::{evaluate, evaluate_without_redistribution, Evaluation};

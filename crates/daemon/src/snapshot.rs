@@ -3,11 +3,11 @@
 //! completed epoch and restored on restart.
 //!
 //! The snapshot is everything a restarted daemon needs to resume exactly
-//! where the dead one stopped: the [`ControllerSnapshot`] (telemetry,
-//! association view, sequence counters) and the driver ledger (which
-//! events completed, who is present, the initial attachments used for
-//! switch counting). Because `wolt_support::json` is deterministic, two
-//! snapshots of equal state are byte-identical on disk.
+//! where the dead one stopped: the [`ControllerSnapshot`] (each client's
+//! last report, association view, sequence counters) and the driver
+//! ledger (which events completed, who is present, the initial
+//! attachments used for switch counting). Because `wolt_support::json` is
+//! deterministic, two snapshots of equal state are byte-identical on disk.
 //!
 //! This module owns the snapshot's *shape*; durability lives in the
 //! generational [`crate::store::SnapshotStore`], which writes each

@@ -5,8 +5,8 @@
 //! and the networked `wolt-daemon` (TCP + length-prefixed JSON frames),
 //! which both drive it through the [`SessionDriver`](crate::session::SessionDriver).
 //! It owns everything that determines *what the controller decides* —
-//! the [`TelemetryCache`] planning view, the association bookkeeping,
-//! monotone directive sequence numbers, dead-client accounting, and the
+//! each known client's last scan report (the planning input), the
+//! association bookkeeping, monotone directive sequence numbers, and the
 //! WOLT / Greedy / RSSI policy dispatch — and nothing about *how
 //! messages move*: deadlines, retransmission, and framing stay with the
 //! transport.
@@ -18,24 +18,16 @@
 //!
 //! The core is also [snapshot](ControllerCore::snapshot)-able: the full
 //! decision state serializes to canonical JSON so a daemon can persist
-//! it each epoch and resume after a crash without losing the telemetry
-//! it had accumulated.
+//! it each epoch and resume after a crash without losing the reports it
+//! plans on.
 
-use wolt_core::{
-    evaluate, Association, AssociationPolicy, Network, TelemetryCache, TelemetryEntry, Wolt,
-};
+use wolt_core::{evaluate, Association, AssociationPolicy, Network, Wolt};
 use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 use wolt_support::obs;
 use wolt_units::Mbps;
 
 use crate::rig::ControllerPolicy;
 use crate::TestbedError;
-
-/// Smoothing factor for the CC's telemetry cache. With one report per
-/// join and forget-on-departure this is exact in fault-free sessions;
-/// under faults it damps duplicate-epoch noise (which the cache already
-/// suppresses) and repeated-report jitter.
-pub const TELEMETRY_ALPHA: f64 = 0.5;
 
 /// A planned re-association the transport must deliver (and retransmit
 /// until acked or the client is declared dead).
@@ -66,8 +58,8 @@ pub struct ControllerConfig {
 ///
 /// The transport feeds it protocol events ([`handle_report`],
 /// [`handle_departed`], [`handle_ack`], [`declare_dead`]) and delivers
-/// the [`Directive`]s it returns; everything else — dedup, telemetry,
-/// planning, sequencing — happens here.
+/// the [`Directive`]s it returns; everything else — dedup, planning,
+/// sequencing — happens here.
 ///
 /// [`handle_report`]: Self::handle_report
 /// [`handle_departed`]: Self::handle_departed
@@ -76,50 +68,33 @@ pub struct ControllerConfig {
 #[derive(Debug, Clone)]
 pub struct ControllerCore {
     config: ControllerConfig,
-    /// Last-known-good smoothed client telemetry (the planning input).
-    telemetry: TelemetryCache,
+    /// Each known client's last scan report, its rate to each extender
+    /// (the planning input); `None` once it departed or was declared
+    /// dead.
+    reports: Vec<Option<Vec<Option<Mbps>>>>,
     /// The CC's view of each client's current extender.
     association: Vec<Option<usize>>,
-    /// Clients declared dead after a missed ack budget.
-    dead: Vec<bool>,
     /// Newest directive sequence issued to each client; only its ack is
     /// accepted.
     latest_seq: Vec<Option<u64>>,
     next_seq: u64,
     /// Highest event epoch processed; lower epochs are duplicates.
     watermark: Option<u64>,
-    directives: usize,
     degraded_solves: usize,
     declared_dead: Vec<usize>,
-    /// Cached planning view (see [`ensure_view`](Self::ensure_view)).
-    /// Session-local: not snapshotted, rebuilt on demand after restore.
-    view: Option<ViewCache>,
-}
-
-/// A planning [`Network`] built from the telemetry rates of one known
-/// set, stamped with the [`TelemetryCache::version`] it was built from
-/// so staleness is a pure integer comparison.
-#[derive(Debug, Clone)]
-struct ViewCache {
-    version: u64,
-    known: Vec<usize>,
-    net: Network,
 }
 
 impl ControllerCore {
     /// A fresh controller for `n_users` clients.
     pub fn new(n_users: usize, config: ControllerConfig) -> Self {
         Self {
-            telemetry: TelemetryCache::new(n_users, TELEMETRY_ALPHA),
+            reports: vec![None; n_users],
             association: vec![None; n_users],
-            dead: vec![false; n_users],
             latest_seq: vec![None; n_users],
             next_seq: 0,
             watermark: None,
-            directives: 0,
             degraded_solves: 0,
             declared_dead: Vec::new(),
-            view: None,
             config,
         }
     }
@@ -128,11 +103,6 @@ impl ControllerCore {
     /// network duplicate the transport should drop).
     pub fn is_duplicate(&self, epoch: u64) -> bool {
         self.watermark.is_some_and(|w| epoch <= w)
-    }
-
-    fn begin_epoch(&mut self, epoch: u64) {
-        self.watermark = Some(epoch);
-        self.telemetry.advance_epoch();
     }
 
     /// Ingests a scan report and plans the arrival: records the rates,
@@ -155,10 +125,9 @@ impl ControllerCore {
         attached: usize,
     ) -> Result<Vec<Directive>, TestbedError> {
         obs::counter_inc("cc.reports");
-        self.begin_epoch(epoch);
-        self.telemetry.record(client, epoch, rates);
+        self.watermark = Some(epoch);
+        self.reports[client] = Some(rates.to_vec());
         self.association[client] = Some(attached);
-        self.dead[client] = false;
         self.latest_seq[client] = None;
         self.plan(Some(client))
     }
@@ -176,11 +145,8 @@ impl ControllerCore {
         epoch: u64,
     ) -> Result<Vec<Directive>, TestbedError> {
         obs::counter_inc("cc.departures");
-        self.begin_epoch(epoch);
-        self.telemetry.forget(client);
-        self.association[client] = None;
-        self.dead[client] = false;
-        self.latest_seq[client] = None;
+        self.watermark = Some(epoch);
+        self.forget(client);
         if self.config.policy == ControllerPolicy::Wolt {
             self.plan(None)
         } else {
@@ -189,11 +155,12 @@ impl ControllerCore {
     }
 
     /// Processes a directive acknowledgement. Returns `true` when the
-    /// ack matches the newest outstanding sequence for a live client (so
-    /// the transport clears its pending entry); stale acks and acks from
-    /// declared-dead clients return `false` and change nothing.
+    /// ack matches the newest outstanding sequence for its client (so
+    /// the transport clears its pending entry); stale acks, and acks
+    /// from a departed or declared-dead client, which has no outstanding
+    /// sequence, return `false` and change nothing.
     pub fn handle_ack(&mut self, client: usize, seq: u64, extender: usize) -> bool {
-        if !self.dead[client] && self.latest_seq[client] == Some(seq) {
+        if self.latest_seq[client] == Some(seq) {
             obs::counter_inc("cc.acks_accepted");
             self.association[client] = Some(extender);
             true
@@ -204,8 +171,8 @@ impl ControllerCore {
     }
 
     /// Declares `client` dead after the transport exhausted its ack
-    /// retry budget: forgets its telemetry, unassigns it, and re-plans
-    /// the survivors (the dead client's load vanishes). The returned
+    /// retry budget: forgets its report, unassigns it, and re-plans the
+    /// survivors (the dead client's load vanishes). The returned
     /// directives may supersede in-flight ones for other clients.
     ///
     /// # Errors
@@ -213,33 +180,34 @@ impl ControllerCore {
     /// As [`handle_report`](Self::handle_report).
     pub fn declare_dead(&mut self, client: usize) -> Result<Vec<Directive>, TestbedError> {
         obs::counter_inc("cc.declared_dead");
-        self.dead[client] = true;
-        self.telemetry.forget(client);
-        self.association[client] = None;
-        self.latest_seq[client] = None;
+        self.forget(client);
         self.declared_dead.push(client);
         self.plan(None)
     }
 
-    /// Runs the policy on the telemetry view and returns a directive for
-    /// every live client whose target changed, in ascending client
-    /// order. Assigns sequence numbers and counts issued directives.
+    /// Drops everything the core knows about `client`.
+    fn forget(&mut self, client: usize) {
+        self.reports[client] = None;
+        self.association[client] = None;
+        self.latest_seq[client] = None;
+    }
+
+    /// Runs the policy on the known clients' last reports and returns a
+    /// directive for every one whose target changed, in ascending client
+    /// order, assigning each the next sequence number.
     fn plan(&mut self, arriving: Option<usize>) -> Result<Vec<Directive>, TestbedError> {
         if self.config.policy == ControllerPolicy::Rssi {
             return Ok(Vec::new());
         }
-        let known: Vec<usize> = self
-            .telemetry
-            .known_clients()
-            .into_iter()
-            .filter(|&i| !self.dead[i])
+        let known: Vec<usize> = (0..self.reports.len())
+            .filter(|&i| self.reports[i].is_some())
             .collect();
         if known.is_empty() {
             return Ok(Vec::new());
         }
         let desired = match self
-            .ensure_view(&known)
-            .and_then(|()| self.plan_targets(&known, arriving))
+            .planning_view(&known)
+            .and_then(|net| self.plan_targets(&net, &known, arriving))
         {
             Ok(d) => d,
             Err(e) if self.config.strict => return Err(e),
@@ -257,7 +225,6 @@ impl ControllerCore {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.latest_seq[i] = Some(seq);
-            self.directives += 1;
             out.push(Directive {
                 client: i,
                 extender: desired[v],
@@ -269,15 +236,14 @@ impl ControllerCore {
     }
 
     /// Computes each known client's desired extender under the
-    /// configured policy, in `known` order. Requires
-    /// [`ensure_view`](Self::ensure_view) to have prepared the planning
-    /// view for this `known` set.
+    /// configured policy, in `known` order, on the planning view `net`
+    /// of those clients.
     fn plan_targets(
         &self,
+        net: &Network,
         known: &[usize],
         arriving: Option<usize>,
     ) -> Result<Vec<usize>, TestbedError> {
-        let (net, current) = self.current_view(known)?;
         match self.config.policy {
             ControllerPolicy::Rssi => Err(TestbedError::AssignmentFailed {
                 context: "RSSI policy plans no directives".to_string(),
@@ -295,6 +261,8 @@ impl ControllerCore {
                     .iter()
                     .position(|&i| i == client)
                     .expect("reporting client is known");
+                let current =
+                    Association::from_targets(known.iter().map(|&i| self.association[i]).collect());
                 let mut best: Option<(usize, f64)> = None;
                 for j in 0..net.extenders() {
                     if !net.reachable(view_idx, j) {
@@ -339,29 +307,16 @@ impl ControllerCore {
         }
     }
 
-    /// Builds — or, when the telemetry rate content and known set are
-    /// unchanged since the last plan, reuses — the planning [`Network`]:
-    /// estimated PLC capacities plus the telemetry cache's
-    /// last-known-good rates for the given clients. The view is a pure
-    /// function of `(telemetry version, known)`, so a steady-state
-    /// population re-reporting unchanged rates replans across epochs
-    /// without rebuilding it (`cc.view_reuses` / `cc.view_builds`).
-    fn ensure_view(&mut self, known: &[usize]) -> Result<(), TestbedError> {
-        let version = self.telemetry.version();
-        if self
-            .view
-            .as_ref()
-            .is_some_and(|v| v.version == version && v.known == known)
-        {
-            obs::counter_inc("cc.view_reuses");
-            return Ok(());
-        }
+    /// Builds the planning [`Network`]: the estimated PLC capacities
+    /// plus the last reported rates of the `known` clients, in order
+    /// (`cc.view_builds`).
+    fn planning_view(&self, known: &[usize]) -> Result<Network, TestbedError> {
         let rates: Vec<Vec<f64>> = known
             .iter()
             .map(|&i| {
-                self.telemetry
-                    .rates(i)
-                    .expect("known client has rates")
+                self.reports[i]
+                    .as_ref()
+                    .expect("known client has a report")
                     .iter()
                     .map(|r| r.map_or(0.0, |m| m.value()))
                     .collect()
@@ -379,27 +334,7 @@ impl ControllerCore {
             context: e.to_string(),
         })?;
         obs::counter_inc("cc.view_builds");
-        self.view = Some(ViewCache {
-            version,
-            known: known.to_vec(),
-            net,
-        });
-        Ok(())
-    }
-
-    /// The prepared planning view for `known`, plus the CC's current
-    /// association of those clients (always rebuilt — associations
-    /// change on every ack, so only the [`Network`] is worth caching).
-    fn current_view(&self, known: &[usize]) -> Result<(&Network, Association), TestbedError> {
-        let view = self
-            .view
-            .as_ref()
-            .filter(|v| v.version == self.telemetry.version() && v.known == known)
-            .ok_or_else(|| TestbedError::AssignmentFailed {
-                context: "planning view not prepared".to_string(),
-            })?;
-        let assoc = Association::from_targets(known.iter().map(|&i| self.association[i]).collect());
-        Ok((&view.net, assoc))
+        Ok(net)
     }
 
     /// The CC's view of each client's current extender.
@@ -408,9 +343,9 @@ impl ControllerCore {
     }
 
     /// Distinct directives issued so far (retransmissions not counted —
-    /// those are the transport's business).
+    /// those are the transport's business): one per sequence number.
     pub fn directives(&self) -> usize {
-        self.directives
+        self.next_seq as usize
     }
 
     /// Solves that failed and degraded to the previous association.
@@ -432,13 +367,10 @@ impl ControllerCore {
     pub fn snapshot(&self) -> ControllerSnapshot {
         ControllerSnapshot {
             epoch: self.watermark,
-            alpha: self.telemetry.alpha(),
-            telemetry: self.telemetry.entries(),
+            reports: self.reports.clone(),
             association: self.association.clone(),
-            dead: self.dead.clone(),
             latest_seq: self.latest_seq.clone(),
             next_seq: self.next_seq,
-            directives: self.directives,
             degraded_solves: self.degraded_solves,
             declared_dead: self.declared_dead.clone(),
         }
@@ -447,7 +379,7 @@ impl ControllerCore {
     /// Rebuilds a controller from a snapshot plus the (non-serialized)
     /// configuration. The restored core continues exactly where the
     /// snapshotted one stopped: same epoch watermark, same sequence
-    /// counter, same telemetry.
+    /// counter, same reports.
     ///
     /// # Errors
     ///
@@ -457,26 +389,20 @@ impl ControllerCore {
         config: ControllerConfig,
         snapshot: ControllerSnapshot,
     ) -> Result<Self, TestbedError> {
-        let n = snapshot.telemetry.len();
-        if snapshot.association.len() != n
-            || snapshot.dead.len() != n
-            || snapshot.latest_seq.len() != n
-        {
+        let n = snapshot.reports.len();
+        if snapshot.association.len() != n || snapshot.latest_seq.len() != n {
             return Err(TestbedError::InvalidConfig {
                 context: "snapshot per-client vectors disagree in length",
             });
         }
         Ok(Self {
-            telemetry: TelemetryCache::from_entries(snapshot.alpha, snapshot.telemetry),
+            reports: snapshot.reports,
             association: snapshot.association,
-            dead: snapshot.dead,
             latest_seq: snapshot.latest_seq,
             next_seq: snapshot.next_seq,
             watermark: snapshot.epoch,
-            directives: snapshot.directives,
             degraded_solves: snapshot.degraded_solves,
             declared_dead: snapshot.declared_dead,
-            view: None,
             config,
         })
     }
@@ -486,25 +412,23 @@ impl ControllerCore {
 ///
 /// Serializes to canonical JSON via [`ToJson`] (insertion-ordered keys,
 /// shortest-round-trip floats), so two snapshots of equal state are
-/// byte-identical on disk.
+/// byte-identical on disk. The reports sit under the `"telemetry"` key,
+/// one `{"rates": [...]}` object or `null` per client; loading ignores
+/// keys it does not read, so a snapshot that also carries the smoothing
+/// factor, dead flags, directive count and per-report ages of an older
+/// controller still loads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerSnapshot {
     /// Highest event epoch processed ([`ControllerCore::watermark`]).
     pub epoch: Option<u64>,
-    /// Telemetry smoothing factor.
-    pub alpha: f64,
-    /// Per-client telemetry slots.
-    pub telemetry: Vec<Option<TelemetryEntry>>,
+    /// Each client's last scan report (`None` = not known).
+    pub reports: Vec<Option<Vec<Option<Mbps>>>>,
     /// Per-client association view.
     pub association: Vec<Option<usize>>,
-    /// Per-client declared-dead flags.
-    pub dead: Vec<bool>,
     /// Per-client newest outstanding directive sequence.
     pub latest_seq: Vec<Option<u64>>,
     /// Next directive sequence number.
     pub next_seq: u64,
-    /// Distinct directives issued.
-    pub directives: usize,
     /// Degraded solves so far.
     pub degraded_solves: usize,
     /// Clients declared dead, in declaration order.
@@ -513,39 +437,32 @@ pub struct ControllerSnapshot {
 
 impl ToJson for ControllerSnapshot {
     fn to_json(&self) -> Json {
-        let telemetry = Json::Arr(
-            self.telemetry
+        let reports = Json::Arr(
+            self.reports
                 .iter()
                 .map(|slot| match slot {
                     None => Json::Null,
-                    Some(e) => Json::obj([
-                        (
-                            "rates",
-                            Json::Arr(
-                                e.rates
-                                    .iter()
-                                    .map(|r| match r {
-                                        Some(m) => Json::Num(m.value()),
-                                        None => Json::Null,
-                                    })
-                                    .collect(),
-                            ),
+                    Some(rates) => Json::obj([(
+                        "rates",
+                        Json::Arr(
+                            rates
+                                .iter()
+                                .map(|r| match r {
+                                    Some(m) => Json::Num(m.value()),
+                                    None => Json::Null,
+                                })
+                                .collect(),
                         ),
-                        ("staleness", e.staleness.to_json()),
-                        ("last_epoch", e.last_epoch.to_json()),
-                    ]),
+                    )]),
                 })
                 .collect(),
         );
         Json::obj([
             ("epoch", self.epoch.to_json()),
-            ("alpha", self.alpha.to_json()),
-            ("telemetry", telemetry),
+            ("telemetry", reports),
             ("association", self.association.to_json()),
-            ("dead", self.dead.to_json()),
             ("latest_seq", self.latest_seq.to_json()),
             ("next_seq", self.next_seq.to_json()),
-            ("directives", self.directives.to_json()),
             ("degraded_solves", self.degraded_solves.to_json()),
             ("declared_dead", self.declared_dead.to_json()),
         ])
@@ -554,7 +471,7 @@ impl ToJson for ControllerSnapshot {
 
 impl FromJson for ControllerSnapshot {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let telemetry = value
+        let reports = value
             .field("telemetry")?
             .as_arr()
             .ok_or_else(|| JsonError::shape("telemetry must be an array"))?
@@ -563,8 +480,7 @@ impl FromJson for ControllerSnapshot {
                 if slot.is_null() {
                     return Ok(None);
                 }
-                let rates = slot
-                    .field("rates")?
+                slot.field("rates")?
                     .as_arr()
                     .ok_or_else(|| JsonError::shape("rates must be an array"))?
                     .iter()
@@ -577,23 +493,16 @@ impl FromJson for ControllerSnapshot {
                                 .ok_or_else(|| JsonError::shape("rate must be a number or null"))
                         }
                     })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Some(TelemetryEntry {
-                    rates,
-                    staleness: u64::from_json(slot.field("staleness")?)?,
-                    last_epoch: u64::from_json(slot.field("last_epoch")?)?,
-                }))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(Some)
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
         Ok(Self {
             epoch: Option::<u64>::from_json(value.field("epoch")?)?,
-            alpha: f64::from_json(value.field("alpha")?)?,
-            telemetry,
+            reports,
             association: Vec::<Option<usize>>::from_json(value.field("association")?)?,
-            dead: Vec::<bool>::from_json(value.field("dead")?)?,
             latest_seq: Vec::<Option<u64>>::from_json(value.field("latest_seq")?)?,
             next_seq: u64::from_json(value.field("next_seq")?)?,
-            directives: usize::from_json(value.field("directives")?)?,
             degraded_solves: usize::from_json(value.field("degraded_solves")?)?,
             declared_dead: Vec::<usize>::from_json(value.field("declared_dead")?)?,
         })
@@ -674,8 +583,8 @@ mod tests {
         assert_eq!(cc.declared_dead(), &[1]);
         assert_eq!(cc.association()[1], None);
         // Regression (unbounded growth): a dead client leaves no
-        // telemetry entry behind.
-        assert_eq!(cc.snapshot().telemetry[1], None);
+        // report behind.
+        assert_eq!(cc.snapshot().reports[1], None);
         // Its acks are ignored forever after.
         assert!(!cc.handle_ack(1, 0, 0));
     }
@@ -686,7 +595,7 @@ mod tests {
         cc.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
         cc.handle_departed(0, 1).unwrap();
         let snap = cc.snapshot();
-        assert_eq!(snap.telemetry[0], None);
+        assert_eq!(snap.reports[0], None);
         assert_eq!(snap.association[0], None);
         assert_eq!(snap.latest_seq[0], None);
     }
@@ -721,6 +630,72 @@ mod tests {
         let db = b.handle_report(2, 2, &[mb(5.0), mb(25.0)], 1).unwrap();
         assert_eq!(da, db);
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn a_rejoin_after_a_lost_departure_plans_on_the_new_scan() {
+        // Client 0's departure never reached the core, and it joins again
+        // with a different scan: the core plans on that scan as reported,
+        // as a core that never saw the first one does.
+        let first = [mb(15.0), mb(10.0)];
+        let second = [mb(30.0), mb(2.0)];
+        let mut cc = core(ControllerPolicy::Wolt, 2, &[60.0, 20.0]);
+        cc.handle_report(0, 0, &first, 0).unwrap();
+        cc.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
+        let rejoin = cc.handle_report(0, 2, &second, 0).unwrap();
+        let mut fresh = core(ControllerPolicy::Wolt, 2, &[60.0, 20.0]);
+        fresh.handle_report(1, 1, &[mb(40.0), mb(20.0)], 0).unwrap();
+        let expected = fresh.handle_report(0, 2, &second, 0).unwrap();
+        let targets =
+            |d: &[Directive]| d.iter().map(|d| (d.client, d.extender)).collect::<Vec<_>>();
+        assert_eq!(targets(&rejoin), targets(&expected));
+        assert_eq!(cc.snapshot().reports[0], Some(second.to_vec()));
+    }
+
+    /// A snapshot in an older controller's format, which also stored a
+    /// smoothing factor, dead flags, a directive count and each report's
+    /// age: clients 0, 1 and 2 reported at epochs 0, 1 and 2, then
+    /// client 2 was declared dead.
+    const OLDER_SNAPSHOT: &str = r#"{
+        "epoch": 2,
+        "alpha": 0.5,
+        "telemetry": [
+            {"rates": [15.0, 10.0], "staleness": 2, "last_epoch": 0},
+            {"rates": [40.0, null], "staleness": 1, "last_epoch": 1},
+            null
+        ],
+        "association": [0, 0, null],
+        "dead": [false, false, true],
+        "latest_seq": [3, null, null],
+        "next_seq": 4,
+        "directives": 4,
+        "degraded_solves": 0,
+        "declared_dead": [2]
+    }"#;
+
+    #[test]
+    fn a_snapshot_in_the_older_format_restores_and_plans_as_a_fresh_core() {
+        let config = ControllerConfig {
+            policy: ControllerPolicy::Wolt,
+            estimated_capacities: vec![Mbps::new(60.0), Mbps::new(20.0)],
+            strict: true,
+        };
+        let snap = ControllerSnapshot::from_json(&Json::parse(OLDER_SNAPSHOT).unwrap()).unwrap();
+        let mut restored = ControllerCore::restore(config, snap).unwrap();
+        let mut fresh = core(ControllerPolicy::Wolt, 3, &[60.0, 20.0]);
+        fresh.handle_report(0, 0, &[mb(15.0), mb(10.0)], 0).unwrap();
+        fresh.handle_report(1, 1, &[mb(40.0), None], 0).unwrap();
+        fresh.handle_report(2, 2, &[mb(30.0), mb(25.0)], 0).unwrap();
+        fresh.declare_dead(2).unwrap();
+        assert_eq!(restored.snapshot(), fresh.snapshot());
+        let next = restored
+            .handle_report(2, 3, &[mb(5.0), mb(25.0)], 1)
+            .unwrap();
+        assert!(!next.is_empty());
+        assert_eq!(
+            next,
+            fresh.handle_report(2, 3, &[mb(5.0), mb(25.0)], 1).unwrap()
+        );
     }
 
     #[test]

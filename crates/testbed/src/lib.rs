@@ -22,7 +22,7 @@
 //!   every agent follows. The in-process [`rig`] and the networked
 //!   `wolt-daemon` are both thin transports over it.
 //! * [`controller`] — the transport-agnostic Central Controller brain
-//!   ([`controller::ControllerCore`]): epoch dedup, telemetry ingest,
+//!   ([`controller::ControllerCore`]): epoch dedup, report ingest,
 //!   policy planning, monotone directive sequencing, declared-dead
 //!   bookkeeping, and JSON snapshot/restore.
 //! * [`faults`] — seeded deterministic fault injection (message drop /

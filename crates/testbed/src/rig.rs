@@ -48,11 +48,11 @@
 //!   with bounded exponential backoff; agents apply each sequence once
 //!   and re-ack retries, so duplication and reordering are harmless;
 //! * a client that misses its whole ack retry budget is declared dead:
-//!   the CC forgets its telemetry and re-optimizes the survivors instead
+//!   the CC forgets its report and re-optimizes the survivors instead
 //!   of stranding the transaction;
-//! * the CC plans on a [`TelemetryCache`](wolt_core::TelemetryCache) of
-//!   last-known-good smoothed rates, and degrades to the previous
-//!   association when a solve fails mid-faults instead of panicking.
+//! * the CC plans on each known client's last report, and degrades to
+//!   the previous association when a solve fails mid-faults instead of
+//!   panicking.
 //!
 //! A faulty session is a pure function of its scenario, seed, deadlines
 //! and plan, `retries` included: fault decisions are keyed by message
