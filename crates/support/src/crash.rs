@@ -160,27 +160,50 @@ fn armed() -> Option<&'static Armed> {
         .as_ref()
 }
 
+impl Armed {
+    /// Counts one execution of `name` if the plan names it, and says
+    /// whether this execution is its scheduled hit. An unnamed point
+    /// counts nothing.
+    fn due(&self, name: &str) -> bool {
+        let Some(&trigger) = self.triggers.get(name) else {
+            return false;
+        };
+        let mut counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
+        let count = counters.entry(name.to_string()).or_insert(0);
+        *count += 1;
+        *count == trigger
+    }
+}
+
+/// Counts one execution of a named crash point and says whether the
+/// process must die here: `true` only on the hit that [`CRASH_ENV`]'s
+/// plan schedules for `name`. Without a plan naming `name` it is
+/// `false` and counts nothing.
+///
+/// [`hit`] is "if due, abort". Call `due` directly only where the torn
+/// state has to be written first (a frame's length prefix, say), then
+/// [`abort`].
+pub fn due(name: &str) -> bool {
+    armed().is_some_and(|armed| armed.due(name))
+}
+
+/// Aborts the process at a due crash point (SIGABRT — no destructors
+/// run, no buffers flush), after naming the point on stderr, the one
+/// trace a post-mortem gets.
+pub fn abort(name: &str) -> ! {
+    eprintln!("crash_point {name:?} firing: aborting");
+    std::process::abort();
+}
+
 /// Executes one named crash point: a no-op unless [`CRASH_ENV`] armed a
 /// plan naming this point, in which case the scheduled hit aborts the
-/// process (SIGABRT — no destructors run, no buffers flush).
+/// process ([`due`], then [`abort`]).
 ///
 /// Call through [`crash_point!`](crate::crash_point!) so the call sites
 /// read as annotations.
 pub fn hit(name: &str) {
-    let Some(armed) = armed() else { return };
-    let Some(&trigger) = armed.triggers.get(name) else {
-        return;
-    };
-    let count = {
-        let mut counters = armed.counters.lock().unwrap_or_else(|e| e.into_inner());
-        let count = counters.entry(name.to_string()).or_insert(0);
-        *count += 1;
-        *count
-    };
-    if count == trigger {
-        // The one observable trace a post-mortem gets: say who fired.
-        eprintln!("crash_point {name:?} firing on hit {count}: aborting");
-        std::process::abort();
+    if due(name) {
+        abort(name);
     }
 }
 
@@ -272,6 +295,28 @@ mod tests {
         let plan = CrashPlan::seeded(1, &[("never.runs", 0), ("runs", 5)]);
         assert_eq!(plan.trigger("never.runs"), None);
         assert!(plan.trigger("runs").is_some());
+    }
+
+    #[test]
+    fn unarmed_points_are_never_due_and_count_nothing() {
+        // No WOLT_CRASH in the test environment: no plan, never due.
+        assert!(!due("codec.write.mid_frame"));
+        // Under a plan, a point it does not name is never due and leaves
+        // no counter behind; the named point counts up to its hit.
+        let armed = Armed {
+            triggers: [("codec.write.mid_frame".to_string(), 2)].into(),
+            counters: Mutex::new(BTreeMap::new()),
+        };
+        for _ in 0..3 {
+            assert!(!armed.due("daemon.snapshot.mid_write"));
+        }
+        assert!(armed.counters.lock().unwrap().is_empty());
+        let fired: Vec<bool> = (0..3).map(|_| armed.due("codec.write.mid_frame")).collect();
+        assert_eq!(fired, [false, true, false]);
+        assert_eq!(
+            *armed.counters.lock().unwrap(),
+            BTreeMap::from([("codec.write.mid_frame".to_string(), 3)])
+        );
     }
 
     #[test]
