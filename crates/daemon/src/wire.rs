@@ -23,11 +23,13 @@
 //! keys, shortest-round-trip floats), so equal messages always encode
 //! to identical bytes: wire traffic is diffable and replayable.
 //!
-//! [`send`] writes one frame. [`recv`] reads one and treats a socket
-//! timeout as an error, which is how a client bounds its wait for a
-//! reply. The server's connection readers use a read timeout as a
-//! polling tick instead: they wait through idle time between frames but
-//! drop a peer that stalls mid-frame.
+//! [`send`] writes one frame with one write. [`recv`] reads one and
+//! treats a socket timeout as an error, which is how a client bounds its
+//! wait for a reply. The server's connection readers use a read timeout
+//! as a polling tick instead: they wait through idle time between frames
+//! but drop a peer that stalls mid-frame. A connection that reads more
+//! than one frame reads through a [`std::io::BufReader`], so a frame
+//! that has already arrived whole costs one read, not two.
 //!
 //! The protocol enums belong to `wolt-testbed`, so the orphan rule keeps
 //! their JSON here as private functions rather than `ToJson`/`FromJson`
@@ -36,6 +38,7 @@
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use wolt_support::crash;
 use wolt_support::json::{FromJson, Json, JsonError, ToJson};
 use wolt_support::obs::ObsSnapshot;
 use wolt_testbed::protocol::{ToAgent, ToClient, ToController};
@@ -591,21 +594,43 @@ fn agent_from_json(value: &Json) -> Result<ToAgent, JsonError> {
     }
 }
 
-/// Writes one envelope as a length-prefixed frame and returns the bytes
+/// Writes one envelope as a length-prefixed frame in one `write_all`
+/// (one syscall and one TCP segment on a socket) and returns the bytes
 /// put on the wire (prefix and body), so transports can meter traffic.
+///
+/// When [`CRASH_MID_FRAME`] is due, only the 4-byte prefix is written
+/// before the process aborts, leaving the peer a torn frame.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the underlying writer.
+/// [`io::ErrorKind::InvalidInput`], before any byte is written, for a
+/// body over [`MAX_FRAME_BYTES`], which every reader would reject as
+/// corrupt; otherwise I/O failures from the underlying writer.
 pub fn send(w: &mut impl Write, envelope: &Envelope) -> io::Result<usize> {
     let body = envelope.to_json().to_compact();
     let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    wolt_support::crash_point!(CRASH_MID_FRAME);
-    w.write_all(body.as_bytes())?;
+        .ok()
+        .filter(|_| body.len() <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                    body.len()
+                ),
+            )
+        })?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body.as_bytes());
+    if crash::due(CRASH_MID_FRAME) {
+        w.write_all(&frame[..4])?;
+        w.flush()?;
+        crash::abort(CRASH_MID_FRAME);
+    }
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok(4 + body.len())
+    Ok(frame.len())
 }
 
 /// Reads one envelope. `Ok(None)` is a cleanly closed connection (end of
@@ -962,6 +987,78 @@ mod tests {
             let mut r = bad.as_slice();
             assert_eq!(recv(&mut r).unwrap_err().kind(), io::ErrorKind::InvalidData);
         }
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_any_byte_is_written() {
+        // A metrics reply whose one counter name alone fills the cap: a
+        // receiver would reject the frame as corrupt and drop the link.
+        let mut metrics = ObsSnapshot::default();
+        metrics.counters.insert("x".repeat(MAX_FRAME_BYTES), 1);
+        let mut sent = Vec::new();
+        let err = send(&mut sent, &Envelope::Metrics { metrics }).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(sent.is_empty(), "{} bytes written", sent.len());
+    }
+
+    /// A reader over a byte slice that counts the reads it is asked for.
+    struct CountingRead<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn buffered_hot_frames_arrive_in_one_inner_read() {
+        // One event's hot path: a command out, then the report and the
+        // ack back, all arrived before the reader looks.
+        let hot = [
+            Envelope::Agent(ToAgent::Join {
+                epoch: 3,
+                attempt: 1,
+            }),
+            Envelope::Ctrl(ToController::Report {
+                client: 2,
+                epoch: 3,
+                rates: vec![Some(Mbps::new(200.0 / 3.0)), None, Some(Mbps::new(54.0))],
+                attached: 1,
+            }),
+            Envelope::Ctrl(ToController::Ack {
+                client: 2,
+                seq: 7,
+                extender: 0,
+            }),
+        ];
+        let mut stream = Vec::new();
+        for envelope in &hot {
+            send(&mut stream, envelope).unwrap();
+        }
+        let mut plain = io::BufReader::new(CountingRead {
+            bytes: &stream,
+            reads: 0,
+        });
+        for envelope in &hot {
+            assert_eq!(recv(&mut plain).unwrap().as_ref(), Some(envelope));
+        }
+        assert_eq!(plain.get_ref().reads, 1);
+        // The server's patient read takes the same single read.
+        let stop = AtomicBool::new(false);
+        let mut patient = io::BufReader::new(CountingRead {
+            bytes: &stream,
+            reads: 0,
+        });
+        for envelope in &hot {
+            let (got, _) = recv_patient(&mut patient, &stop, 1).unwrap().unwrap();
+            assert_eq!(&got, envelope);
+        }
+        assert_eq!(patient.get_ref().reads, 1);
     }
 
     /// A reader that replays a script of data chunks and stalls, so the

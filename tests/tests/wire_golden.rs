@@ -295,3 +295,32 @@ fn the_cases_cover_every_shape() {
     // their 3 + 2 + 3 messages and 4 ops.
     assert_eq!(shapes.len(), 13 - 4 + 8 + 4, "{shapes:?}");
 }
+
+/// A writer that keeps what it is given and counts the `write` calls.
+#[derive(Default)]
+struct CountingWrite {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_pinned_frame_leaves_in_one_write() {
+    for (envelope, body) in cases() {
+        let mut w = CountingWrite::default();
+        wire::send(&mut w, &envelope).expect("a counting writer accepts every write");
+        assert_eq!(w.writes, 1, "writes for {body}");
+        assert_eq!(w.bytes, frame(body), "frame of {envelope:?}");
+    }
+}
