@@ -20,7 +20,7 @@
 //! names and the reconnect policy. [`run_agent`] runs it with a site-less
 //! hello and the default policy.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::Duration;
@@ -103,13 +103,16 @@ enum ConnectFailure {
 }
 
 /// One connect + handshake; on success the agent holds an accepted
-/// stream and the controller's view of its attachment.
+/// stream and the controller's view of its attachment. The stream comes
+/// back inside the buffer it is read through from the handshake on, so
+/// frames sent right behind the `hello_ack` stay in that buffer; writes
+/// go to the stream itself.
 fn connect_once(
     addr: &impl ToSocketAddrs,
     client: usize,
     name: &str,
     site: Option<&str>,
-) -> Result<(TcpStream, Option<usize>), ConnectFailure> {
+) -> Result<(BufReader<TcpStream>, Option<usize>), ConnectFailure> {
     let mut stream =
         TcpStream::connect(addr).map_err(|e| ConnectFailure::Retryable(format!("connect: {e}")))?;
     let _ = stream.set_nodelay(true);
@@ -122,8 +125,9 @@ fn connect_once(
         },
     )
     .map_err(|e| ConnectFailure::Retryable(format!("handshake send: {e}")))?;
-    match wire::recv(&mut stream) {
-        Ok(Some(Envelope::HelloAck { attached })) => Ok((stream, attached)),
+    let mut reader = BufReader::new(stream);
+    match wire::recv(&mut reader) {
+        Ok(Some(Envelope::HelloAck { attached })) => Ok((reader, attached)),
         Ok(Some(Envelope::Busy { limit })) => Err(ConnectFailure::Retryable(
             DaemonError::Busy { limit }.to_string(),
         )),
@@ -268,7 +272,10 @@ fn recv_failure_is_lost(e: &io::Error) -> bool {
 /// [`DaemonError::Protocol`] when the peer sends a well-formed frame an
 /// agent must never see — lost connections are a [`ServeEnd`], not an
 /// error.
-fn serve(stream: &mut TcpStream, agent: &mut AgentState) -> Result<ServeEnd, DaemonError> {
+fn serve(
+    stream: &mut BufReader<TcpStream>,
+    agent: &mut AgentState,
+) -> Result<ServeEnd, DaemonError> {
     loop {
         let envelope = match wire::recv(stream) {
             Ok(Some(envelope)) => envelope,
@@ -303,7 +310,7 @@ fn serve(stream: &mut TcpStream, agent: &mut AgentState) -> Result<ServeEnd, Dae
         let Some(reply) = reply else {
             continue;
         };
-        if wire::send(stream, &Envelope::Ctrl(reply)).is_err() {
+        if wire::send(stream.get_mut(), &Envelope::Ctrl(reply)).is_err() {
             return Ok(ServeEnd::Lost);
         }
     }

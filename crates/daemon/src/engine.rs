@@ -19,7 +19,7 @@
 //! the fleet's headline invariant is structural, not coincidental: the
 //! single-site daemon *is* a one-site fleet.
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -683,7 +683,7 @@ pub enum HelloDecision {
 /// `read_stall` loses the connection and is counted in
 /// `daemon.read_timeouts`.
 pub fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     stop: &Arc<AtomicBool>,
     read_stall: Duration,
     route: &dyn Fn(usize, Option<&str>) -> HelloDecision,
@@ -693,8 +693,11 @@ pub fn serve_connection(
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let mid_frame_stalls = u32::try_from(read_stall.as_millis() / READ_TICK.as_millis())
         .map_or(u32::MAX, |n| n.max(1));
-    let recv = |stream: &mut TcpStream| {
-        let result = wire::recv_patient(stream, stop, mid_frame_stalls);
+    // Every frame of the connection, before and after the handshake, is
+    // read through one buffer; replies go to the raw stream.
+    let mut reader = BufReader::new(stream);
+    let recv = |reader: &mut BufReader<TcpStream>| {
+        let result = wire::recv_patient(reader, stop, mid_frame_stalls);
         if matches!(&result, Err(e) if e.kind() == std::io::ErrorKind::TimedOut) {
             obs::counter_inc("daemon.read_timeouts");
         }
@@ -705,12 +708,12 @@ pub fn serve_connection(
     // fleet queries (each answered inline — safe here because no
     // session-loop writer shares this stream yet) and/or a stop request.
     let (client, tx) = loop {
-        match recv(&mut stream) {
+        match recv(&mut reader) {
             Ok(Some((Envelope::Hello { client, site, .. }, bytes))) => {
                 match route(client, site.as_deref()) {
                     HelloDecision::Accept { sender, attached } => {
                         note_frame_in(bytes);
-                        match wire::send(&mut stream, &Envelope::HelloAck { attached }) {
+                        match wire::send(reader.get_mut(), &Envelope::HelloAck { attached }) {
                             Ok(sent) => note_frame_out(sent),
                             Err(_) => return,
                         }
@@ -718,7 +721,7 @@ pub fn serve_connection(
                     }
                     HelloDecision::Reject(reply) => {
                         note_frame_in(bytes);
-                        if let Ok(sent) = wire::send(&mut stream, &reply) {
+                        if let Ok(sent) = wire::send(reader.get_mut(), &reply) {
                             note_frame_out(sent);
                         }
                         return;
@@ -728,14 +731,14 @@ pub fn serve_connection(
             }
             Ok(Some((envelope, bytes))) => {
                 note_frame_in(bytes);
-                if !control(&mut stream, envelope) {
+                if !control(reader.get_mut(), envelope) {
                     return;
                 }
             }
             _ => return,
         }
     };
-    let writer = match stream.try_clone() {
+    let writer = match reader.get_ref().try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
@@ -743,7 +746,7 @@ pub fn serve_connection(
         return;
     }
     loop {
-        match recv(&mut stream) {
+        match recv(&mut reader) {
             // An agent speaks only for its own client: a message naming
             // another one is a protocol violation like any unexpected
             // envelope, and ends the connection below.
