@@ -14,7 +14,7 @@
 //! there is deliberately no derive magic, so every serialized field is
 //! visible in the source.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 ///
@@ -129,8 +129,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Num(n) => out.push_str(&format_f64(*n)),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(n) => write_f64(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -255,13 +257,14 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
 /// Shortest round-trip float formatting; integral values keep a `.0`
 /// suffix so the type is evident (`42.0`, not `42`). Non-finite values
 /// have no JSON representation and serialize as `null`.
-fn format_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
+fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // Rust's Debug for f64 is the shortest representation that parses
+        // back exactly, and always includes a decimal point or exponent.
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
     }
-    // Rust's Debug for f64 is the shortest representation that parses
-    // back exactly, and always includes a decimal point or exponent.
-    format!("{v:?}")
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -276,7 +279,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
