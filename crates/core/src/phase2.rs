@@ -260,18 +260,24 @@ struct U2Table {
 impl U2Table {
     fn new(net: &Network, u2: &[usize]) -> Self {
         let n_ext = net.extenders();
-        let mut supports = Supports::new(n_ext);
-        let mut links: Vec<(usize, f64)> = Vec::with_capacity(u2.len() * n_ext);
-        let mut x0 = Vec::with_capacity(u2.len() * n_ext);
+        let capacity = u2.len() * n_ext;
+        let mut coords = Vec::with_capacity(capacity);
+        let mut starts = Vec::with_capacity(u2.len() + 1);
+        let mut links: Vec<(usize, f64)> = Vec::with_capacity(capacity);
+        let mut x0 = Vec::with_capacity(capacity);
+        starts.push(0);
         for &i in u2 {
             let first = links.len();
-            links.extend(net.links(i).map(|(j, r)| (j, 1.0 / r.value())));
-            supports.push_row(links[first..].iter().map(|&(j, _)| j));
+            for (j, r) in net.links(i) {
+                coords.push(j);
+                links.push((j, 1.0 / r.value()));
+            }
             let reachable = (links.len() - first) as f64;
             x0.resize(links.len(), 1.0 / reachable);
+            starts.push(links.len());
         }
         Self {
-            supports,
+            supports: Supports::from_packed(n_ext, coords, starts),
             links,
             x0,
         }

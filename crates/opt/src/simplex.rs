@@ -175,6 +175,28 @@ impl Supports {
         }
     }
 
+    /// Supports from their packed layout, for a caller that builds it in
+    /// one pass: `coords` lists every row's support in turn, and row `i`
+    /// spans `coords[starts[i]..starts[i + 1]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `starts` begins at 0, never decreases and ends at
+    /// `coords.len()`.
+    pub fn from_packed(cols: usize, coords: Vec<usize>, starts: Vec<usize>) -> Self {
+        assert!(
+            starts.first() == Some(&0)
+                && starts.last() == Some(&coords.len())
+                && starts.windows(2).all(|w| w[0] <= w[1]),
+            "row starts must run from 0 to the packed length without decreasing"
+        );
+        Self {
+            cols,
+            coords,
+            starts,
+        }
+    }
+
     /// `rows` rows, each spanning all `cols` coordinates.
     pub fn full(rows: usize, cols: usize) -> Self {
         let mut supports = Self::new(cols);
@@ -441,6 +463,23 @@ mod tests {
         let mut x = vec![-9.0];
         supports.project(&mut x, &mut Vec::new());
         assert_eq!(supports.unpack(&x), vec![vec![0.0, 1.0]]);
+    }
+
+    #[test]
+    fn packed_supports_equal_row_by_row_ones() {
+        let mut rows = Supports::new(4);
+        rows.push_row([0, 2]);
+        rows.push_row([1, 2, 3]);
+        assert_eq!(
+            Supports::from_packed(4, vec![0, 2, 1, 2, 3], vec![0, 2, 5]),
+            rows
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row starts")]
+    fn packed_supports_reject_starts_that_miss_the_packed_length() {
+        Supports::from_packed(4, vec![0, 2, 1], vec![0, 2]);
     }
 
     #[test]
